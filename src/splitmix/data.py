@@ -62,17 +62,12 @@ def _read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     return images, labels
 
 
-def load_cifar10(path: str, standardize: bool = False) -> tuple[Dataset, Dataset]:
+def load_cifar10(path: str) -> tuple[Dataset, Dataset]:
     """Load the binary CIFAR-10 batches under ``path`` (50k train, 10k test)."""
     train_parts = [_read_records(os.path.join(path, name)) for name in CIFAR_TRAIN_FILES]
     images = np.concatenate([p[0] for p in train_parts])
     labels = np.concatenate([p[1] for p in train_parts])
     test_images, test_labels = _read_records(os.path.join(path, CIFAR_TEST_FILE))
-    if standardize:
-        mean = images.mean(axis=(0, 2, 3), keepdims=True)
-        std = images.std(axis=(0, 2, 3), keepdims=True) + 1e-8
-        images = (images - mean) / std
-        test_images = (test_images - mean) / std
     return (Dataset(images, labels, 10), Dataset(test_images, test_labels, 10))
 
 

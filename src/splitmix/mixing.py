@@ -189,13 +189,6 @@ def manifold_mixup(grid_a: np.ndarray, grid_b: np.ndarray, lam: float) -> np.nda
     return np.float32(lam) * grid_a + np.float32(1.0 - lam) * grid_b
 
 
-def mixup_label(label_a: np.ndarray, label_b: np.ndarray, lam: float) -> np.ndarray:
-    if not 0.0 <= lam <= 1.0:
-        raise ContractError(f"mixing weight must lie in [0, 1], got {lam}")
-    return (np.float32(lam) * np.asarray(label_a, dtype=np.float32)
-            + np.float32(1.0 - lam) * np.asarray(label_b, dtype=np.float32))
-
-
 def keep_count(keep_ratio: float, tokens: int) -> int:
     """Rows kept by a cutout mask; round half up for determinism."""
     if not keep_ratio > 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IngestionError
-from .tensor import (Tensor, add, concat, expand_batch, gelu, layer_norm,
+from .tensor import (Tensor, add, concat, expand_batch, gelu, layer_norm, linear,
                      matmul, reshape, scale, slice_rows, softmax, transpose)
 
 
@@ -192,21 +192,9 @@ def extract_patches(images: np.ndarray, config: ModelConfig) -> np.ndarray:
 def client_forward(segment: ClientSegment, images: np.ndarray,
                    config: ModelConfig) -> Tensor:
     """Per-patch flatten -> linear embed -> add positional table; no class token."""
-    patches = extract_patches(images, config)
-    b = patches.shape[0]
-    flat = Tensor(patches.reshape(b * config.tokens, config.patch_pixels))
-    embedded = add(matmul(flat, transpose(segment.patch_weight)), segment.patch_bias)
-    tokens = reshape(embedded, (b, config.tokens, config.embed_dim))
+    patches = Tensor(extract_patches(images, config))
+    tokens = linear(patches, segment.patch_weight, segment.patch_bias)
     return add(tokens, segment.pos_embed)
-
-
-def _linear(x: Tensor, weight: Tensor, bias: Tensor, batch: int, rows: int) -> Tensor:
-    """Apply a (out, in) weight to (batch, rows, in) tokens."""
-    in_dim = weight.shape[1]
-    out_dim = weight.shape[0]
-    flat = reshape(x, (batch * rows, in_dim))
-    y = add(matmul(flat, transpose(weight)), bias)
-    return reshape(y, (batch, rows, out_dim))
 
 
 def _split_heads(x: Tensor, batch: int, rows: int, heads: int, head_dim: int) -> Tensor:
@@ -218,14 +206,14 @@ def _attention(x: Tensor, blk: BlockParams, config: ModelConfig, batch: int,
     d = config.embed_dim
     heads = config.heads
     head_dim = d // heads
-    q = _split_heads(_linear(x, blk.q_weight, blk.q_bias, batch, rows), batch, rows, heads, head_dim)
-    k = _split_heads(_linear(x, blk.k_weight, blk.k_bias, batch, rows), batch, rows, heads, head_dim)
-    v = _split_heads(_linear(x, blk.v_weight, blk.v_bias, batch, rows), batch, rows, heads, head_dim)
+    q = _split_heads(linear(x, blk.q_weight, blk.q_bias), batch, rows, heads, head_dim)
+    k = _split_heads(linear(x, blk.k_weight, blk.k_bias), batch, rows, heads, head_dim)
+    v = _split_heads(linear(x, blk.v_weight, blk.v_bias), batch, rows, heads, head_dim)
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     weights = softmax(scores, axis=-1)
     context = matmul(weights, v)
     merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, rows, d))
-    return _linear(merged, blk.out_weight, blk.out_bias, batch, rows)
+    return linear(merged, blk.out_weight, blk.out_bias)
 
 
 def server_forward(segment: ServerSegment, tokens: Tensor,
@@ -241,13 +229,12 @@ def server_forward(segment: ServerSegment, tokens: Tensor,
     for blk in segment.blocks:
         attended = _attention(layer_norm(x, blk.ln1_gain, blk.ln1_bias), blk, config, batch, rows)
         x = add(x, attended)
-        h = _linear(layer_norm(x, blk.ln2_gain, blk.ln2_bias), blk.fc1_weight, blk.fc1_bias,
-                    batch, rows)
-        h = _linear(gelu(h), blk.fc2_weight, blk.fc2_bias, batch, rows)
+        h = linear(layer_norm(x, blk.ln2_gain, blk.ln2_bias), blk.fc1_weight, blk.fc1_bias)
+        h = linear(gelu(h), blk.fc2_weight, blk.fc2_bias)
         x = add(x, h)
     cls_row = reshape(slice_rows(x, 0, 1), (batch, config.embed_dim))
     normed = layer_norm(cls_row, segment.norm_gain, segment.norm_bias)
-    return add(matmul(normed, transpose(segment.head_weight)), segment.head_bias)
+    return linear(normed, segment.head_weight, segment.head_bias)
 
 
 def clone_client_segment(segment: ClientSegment) -> ClientSegment:

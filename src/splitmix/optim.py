@@ -6,40 +6,72 @@ import math
 
 import numpy as np
 
+from .errors import ContractError
 from .tensor import Tensor
 
 
 class AdamW:
-    """Standard AdamW over a named parameter dict; float32 state."""
+    """Standard AdamW over a named parameter dict; float32 state.
+
+    The moments ``m`` and ``v`` are one flat buffer each, laid out in the
+    parameter dict's order, so a step is one vectorized update over the
+    concatenated gradients followed by an in-place subtraction per parameter.
+    Every intermediate lands in preallocated scratch rows: fresh arrays of
+    the flat size would be mapped and unmapped by the allocator on every
+    step once they pass its mmap threshold (about 128 KiB).
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.05):
+        if not params:
+            raise ContractError("AdamW needs at least one parameter")
         self.params = params
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        self._m = {k: np.zeros_like(p.values) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        size = sum(p.values.size for p in params.values())
+        self._m = np.zeros(size, dtype=np.float32)
+        self._v = np.zeros(size, dtype=np.float32)
+        self._scratch = np.empty((3, size), dtype=np.float32)
 
     def step(self) -> None:
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ContractError(f"AdamW.step: parameter {name!r} has no gradient")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.values -= np.float32(self.lr) * (update + self.weight_decay * p.values)
+        params = self.params.values()
+        m, v = self._m, self._v
+        g, values, update = self._scratch
+        np.concatenate([p.grad.ravel() for p in params], out=g)
+        np.concatenate([p.values.ravel() for p in params], out=values)
+        # The same float32 expressions as the textbook per-array loop:
+        #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+        #   update = lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*values)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=update)
+        m += update
+        v *= self.beta2
+        g *= g
+        g *= 1.0 - self.beta2
+        v += g
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        np.divide(m, bc1, out=update)
+        update /= g
+        values *= self.weight_decay
+        update += values
+        update *= np.float32(self.lr)
+        offset = 0
+        for p in params:
+            size = p.values.size
+            p.values -= update[offset:offset + size].reshape(p.values.shape)
+            offset += size
 
     def zero_grads(self) -> None:
         for p in self.params.values():

@@ -16,13 +16,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .mixing import generate_mask_set, keep_count, sample_mixing_counts
-from .model import ClientSegment, ModelConfig, extract_patches
+from .mixing import generate_mask_set, keep_count, manifold_mixup, sample_mixing_counts
+from .model import ClientSegment, ModelConfig, client_forward
 from .optim import AdamW
-from .rng import stream_generator
-from .tensor import Tensor, add, backward, gelu, matmul, mean, mul, scale, transpose
-
-STREAM_ATTACK = 8
+from .rng import STREAM_ATTACK, stream_generator
+from .tensor import Tensor, add, backward, gelu, linear, mean, mul, scale
 
 REPRESENTATIONS = ("smashed", "cutsmashed", "mixup", "patch_cutmix", "shuffled_cutmix")
 
@@ -69,16 +67,6 @@ class Snapshot:
     model_config: ModelConfig
 
 
-def smashed_values(segment: ClientSegment, images: np.ndarray,
-                   config: ModelConfig) -> np.ndarray:
-    """Plain-array client forward for frozen segments (no graph recorded)."""
-    patches = extract_patches(images, config)
-    flat = patches.reshape(-1, config.patch_pixels)
-    tokens = flat @ segment.patch_weight.values.T + segment.patch_bias.values
-    tokens = tokens.reshape(images.shape[0], config.tokens, config.embed_dim)
-    return (tokens + segment.pos_embed.values).astype(np.float32)
-
-
 def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Return (features, targets): one row per sample, targets are raw pixels."""
@@ -88,7 +76,7 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
     targets = dataset.images.reshape(n, -1).astype(np.float32)
     if name == "raw":
         return targets.copy(), targets
-    smashed = smashed_values(snapshot.client_segment, dataset.images, mc)
+    smashed = client_forward(snapshot.client_segment, dataset.images, mc).values
     tokens = mc.tokens
     if name == "smashed":
         feats = smashed
@@ -109,11 +97,10 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
         order = rng.permutation(n)
         pair = np.empty(n, dtype=np.int64)
         pair[order] = order[np.arange(n) - 1]
-        feats = np.empty_like(smashed)
         if name == "mixup":
-            lam = np.float32(config.mixup_lam)
-            feats = lam * smashed + (np.float32(1.0) - lam) * smashed[pair]
+            feats = manifold_mixup(smashed, smashed[pair], config.mixup_lam)
         else:
+            feats = np.empty_like(smashed)
             for i in range(n):
                 counts = sample_mixing_counts(2, config.cutmix_alpha, tokens, rng)
                 masks = generate_mask_set(counts, tokens, rng)
@@ -152,19 +139,9 @@ class _Decoder:
         h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add(matmul(h, transpose(w)), b)
+            h = linear(h, w, b)
             if i != last:
                 h = gelu(h)
-        return h
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.values.T + b.values
-            if i != last:
-                inner = math.sqrt(2.0 / math.pi) * (h + 0.044715 * h ** 3)
-                h = 0.5 * h * (1.0 + np.tanh(inner))
         return h
 
 
@@ -203,7 +180,7 @@ def run_attack(config: AttackConfig, snapshot: Snapshot) -> AttackReport:
             opt.step()
             opt.zero_grads()
 
-    pred = decoder.predict(features[test_idx])
+    pred = decoder.forward(Tensor(features[test_idx])).values
     test_mse = float(np.mean((pred - targets[test_idx]) ** 2))
     return AttackReport(representation=config.representation, test_mse=test_mse,
                         sample_count=int(train_idx.size), config=asdict(config))

@@ -18,6 +18,7 @@ noise injection        4
 parameter init         5
 group formation        6
 data partitioning      7
+attack harness         8
 ====================  ====
 """
 
@@ -32,6 +33,7 @@ STREAM_NOISE = 4
 STREAM_INIT = 5
 STREAM_GROUPS = 6
 STREAM_DATA = 7
+STREAM_ATTACK = 8
 
 _MASK64 = (1 << 64) - 1
 

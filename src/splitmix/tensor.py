@@ -4,11 +4,12 @@ The engine is a classic tape-free design: every operation returns a new
 ``Tensor`` holding references to its inputs and a closure that maps the
 output gradient to input gradients.  ``backward`` topologically sorts the
 recorded graph from the loss and visits each node exactly once in reverse
-order.
+order.  Gradients are stored on leaves only (tensors created directly, with
+no recorded backward); intermediate nodes pass theirs on and keep none.
 
 Contracts:
   * all values and gradients are float32;
-  * gradients accumulate across ``backward`` calls until ``zero_grads``;
+  * leaf gradients accumulate across ``backward`` calls until ``zero_grads``;
   * no broadcasting except a smaller operand whose shape matches the
     trailing dimensions of the larger one (row-wise bias addition and the
     positional-table / mask patterns that reduce to it);
@@ -104,10 +105,12 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad tensor reachable from ``loss``.
+    """Populate ``grad`` for every requires_grad leaf reachable from ``loss``.
 
-    ``loss`` must be scalar (shape ``()``).  Gradients add onto whatever is
-    already stored, so calling twice without ``zero_grads`` doubles them.
+    ``loss`` must be scalar (shape ``()``).  Only leaves (tensors without a
+    recorded backward) receive ``grad``; intermediate nodes get none.  Leaf
+    gradients add onto whatever is already stored, so calling twice without
+    ``zero_grads`` doubles them.
     """
     if loss.values.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.values.shape}")
@@ -118,8 +121,8 @@ def backward(loss: Tensor) -> None:
         grad = flowing.pop(id(node), None)
         if grad is None:
             continue
-        node.grad = grad.copy() if node.grad is None else node.grad + grad
         if node._backward is None:
+            node.grad = grad.copy() if node.grad is None else node.grad + grad
             continue
         for parent, pgrad in zip(node._parents, node._backward(grad)):
             if pgrad is None or not parent.requires_grad:
@@ -192,6 +195,32 @@ def matmul(a, b) -> Tensor:
         return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
 
     return _node(out, (a, b), bwd)
+
+
+def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight.T + bias`` over the last axis of ``(..., in)`` tokens.
+
+    ``weight`` is ``(out, in)`` and ``bias`` is ``(out,)``.  One node stands
+    for the reshape / transpose / matmul / add chain and evaluates the same
+    numpy expressions, so values and gradients match it bit for bit.
+    """
+    x = _as_tensor(x)
+    if weight.ndim != 2 or bias.shape != weight.shape[:1]:
+        raise DimensionError(
+            f"linear: weight {weight.shape} and bias {bias.shape} are not (out, in) and (out,)")
+    out_dim, in_dim = weight.shape
+    if x.ndim < 1 or x.shape[-1] != in_dim:
+        raise DimensionError(f"linear: input {x.shape} does not end in {in_dim}")
+    w = weight.values
+    flat = x.values.reshape(-1, in_dim)
+    out = (flat @ w.T + bias.values).reshape(x.shape[:-1] + (out_dim,))
+
+    def bwd(g):
+        g = g.reshape(-1, out_dim)
+        gx = (g @ w).reshape(x.shape) if x.requires_grad else None
+        return gx, (flat.T @ g).T, g.sum(axis=0)
+
+    return _node(out, (x, weight, bias), bwd)
 
 
 def gelu(a) -> Tensor:

@@ -119,3 +119,34 @@ def ref_server_forward(params, tokens, depth, heads):
 def named_values(segment, prefix="") -> dict[str, np.ndarray]:
     """Float64 copies of a segment's parameters keyed by their flat names."""
     return {prefix + k: t.values.astype(np.float64) for k, t in segment.parameters().items()}
+
+
+class RefAdamW:
+    """Per-array AdamW: one pair of moments per parameter, stepped in turn.
+
+    Unlike the rest of this module it runs in float32 with the package's
+    elementwise expressions, because the flat optimizer is held to it bit
+    for bit, not within a tolerance.
+    """
+
+    def __init__(self, values: dict[str, np.ndarray], lr: float = 1e-3,
+                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.05):
+        self.values = {k: v.copy() for k, v in values.items()}
+        self.lr, (self.beta1, self.beta2) = lr, betas
+        self.eps, self.weight_decay = eps, weight_decay
+        self.step_count = 0
+        self.m = {k: np.zeros_like(v) for k, v in self.values.items()}
+        self.v = {k: np.zeros_like(v) for k, v in self.values.items()}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.step_count += 1
+        bc1 = 1.0 - self.beta1 ** self.step_count
+        bc2 = 1.0 - self.beta2 ** self.step_count
+        for name, value in self.values.items():
+            g, m, v = grads[name], self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            value -= np.float32(self.lr) * (update + self.weight_decay * value)

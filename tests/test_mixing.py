@@ -8,7 +8,7 @@ import pytest
 from splitmix.errors import ContractError, DimensionError, ProtocolError
 from splitmix.mixing import (CutMixBatch, CutoutMasker, add_gaussian_noise,
                              add_label_noise, cut, cutmix_assemble,
-                             generate_mask_set, manifold_mixup, mixup_label,
+                             generate_mask_set, manifold_mixup,
                              sample_mixing_counts, shuffle_tokens, unshuffle_grid)
 from splitmix.rng import (STREAM_ALLOC, STREAM_MASKS, STREAM_SHUFFLE,
                           stream_generator)
@@ -252,8 +252,6 @@ class TestManifoldMixup:
         a = np.zeros((2, 2), np.float32)
         with pytest.raises(ContractError):
             manifold_mixup(a, a, 1.5)
-        with pytest.raises(ContractError):
-            mixup_label(np.ones(3), np.ones(3), -0.1)
 
 
 class TestCutout:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from splitmix.errors import ContractError, DimensionError
 from splitmix.tensor import (Tensor, add, backward, concat, cross_entropy,
-                             expand_batch, gelu, layer_norm, matmul, mean, mul,
-                             reshape, scale, slice_rows, softmax, sum_all,
+                             expand_batch, gelu, layer_norm, linear, matmul, mean,
+                             mul, reshape, scale, slice_rows, softmax, sum_all,
                              transpose, zero_grads)
 
 from oracles import central_difference, ref_cross_entropy, ref_gelu, ref_layer_norm, ref_softmax
@@ -92,6 +92,20 @@ class TestBackward:
         zero_grads([w])
         assert w.grad is None
 
+    def test_grads_stored_on_leaves_only(self):
+        w = Tensor(rand((3, 4)), requires_grad=True)
+        x = Tensor(rand((2, 3), seed=1))
+        hidden = matmul(x, w)
+        act = gelu(hidden)
+        loss = sum_all(act)
+        backward(loss)
+        assert hidden.grad is None and act.grad is None and loss.grad is None
+        assert x.grad is None
+        first = w.grad.copy()
+        backward(loss)
+        assert np.array_equal(w.grad, first + first)
+        assert hidden.grad is None and act.grad is None
+
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         x64 = rng.normal(0, 1, size=(4, 6))
@@ -118,6 +132,38 @@ class TestBackward:
         backward(cross_entropy(logits, Tensor(labels.astype(np.float32))))
         for name, tensor in tensors.items():
             assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 5)])
+def test_linear_matches_composite_bit_for_bit(lead):
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=lead + (6,)).astype(np.float32)
+    w0 = rng.normal(size=(4, 6)).astype(np.float32)
+    b0 = rng.normal(size=(4,)).astype(np.float32)
+    upstream = Tensor(rng.normal(size=lead + (4,)).astype(np.float32))
+    rows = int(np.prod(lead))
+
+    def run(fused):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        if fused:
+            y = linear(x, w, b)
+        else:
+            y = add(matmul(reshape(x, (rows, 6)), transpose(w)), b)
+            y = reshape(y, lead + (4,))
+        backward(sum_all(mul(y, upstream)))
+        return y.values, x.grad, w.grad, b.grad
+
+    for name, got, want in zip(("values", "x.grad", "w.grad", "b.grad"), run(True), run(False)):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_linear_rejects_mismatched_shapes():
+    w = Tensor(np.zeros((4, 6), np.float32))
+    with pytest.raises(DimensionError):
+        linear(Tensor(np.zeros((2, 5), np.float32)), w, Tensor(np.zeros(4, np.float32)))
+    with pytest.raises(DimensionError):
+        linear(Tensor(np.zeros((2, 6), np.float32)), w, Tensor(np.zeros(6, np.float32)))
 
 
 OPS = {
