@@ -28,7 +28,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     add("--gradient-mode", choices=("unicast", "broadcast"), dest="gradient_mode")
     add("--fedavg", action=argparse.BooleanOptionalAction)
     add("--fedavg-cadence", choices=("epoch", "round"), dest="fedavg_cadence")
-    add("--server-step-mode", choices=("per_group", "summed"), dest="server_step_mode")
     add("--keep-ratio", type=float, dest="keep_ratio")
     add("--mask-mode", choices=("fixed", "per_iteration"), dest="mask_mode")
     add("--noise-x", type=float, dest="noise_x")

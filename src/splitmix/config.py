@@ -27,7 +27,6 @@ class ExperimentConfig:
     gradient_mode: str = "unicast"
     fedavg: bool | None = None  # None: derived from method
     fedavg_cadence: str = "epoch"  # or "round"
-    server_step_mode: str = "per_group"
     keep_ratio: float = 1.0  # token cutout for the k=1 baseline
     mask_mode: str = "per_iteration"  # or "fixed"
     noise_x: float = 0.0
@@ -106,14 +105,14 @@ class ExperimentConfig:
             raise ContractError(f"{self.method} does not mix activations; k_way must be 1")
         if self.method in MIXING_METHODS and self.k_way < 2:
             raise ContractError(f"{self.method} requires k_way >= 2")
-        if self.n_clients < 1:
-            raise ContractError("n_clients must be >= 1")
+        for name in ("n_clients", "epochs", "batch_size", "eval_every",
+                     "attack_pretrain_epochs"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.gradient_mode not in ("unicast", "broadcast"):
             raise ContractError(f"gradient_mode must be unicast or broadcast, got {self.gradient_mode!r}")
         if self.fedavg_cadence not in ("epoch", "round"):
             raise ContractError(f"fedavg_cadence must be epoch or round, got {self.fedavg_cadence!r}")
-        if self.server_step_mode not in ("per_group", "summed"):
-            raise ContractError(f"server_step_mode must be per_group or summed")
         if self.mask_mode not in ("fixed", "per_iteration"):
             raise ContractError(f"mask_mode must be fixed or per_iteration, got {self.mask_mode!r}")
         if not 0.0 < self.keep_ratio <= 1.0:

@@ -2,9 +2,10 @@
 
 One training round runs, in order: group formation, sequence (mask)
 generation, client forward + cut, upload with payload metering, mixing,
-server forward/backward with one optimizer step per group, gradient
-download (unicast or broadcast), client backward + steps, optional
-federated averaging of the client segments.
+server forward/backward with one optimizer step per pass (one pass per
+group, or per member under ktimes), gradient download (unicast or
+broadcast), client backward + steps, optional federated averaging of the
+client segments.
 
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
@@ -208,7 +209,6 @@ class RoundOptions:
     gradient_mode: str = "unicast"
     shuffle: bool = False
     ktimes: bool = False
-    server_step_mode: str = "per_group"  # or "summed": one step over summed grads
     noise_x: float = 0.0
     noise_y: float = 0.0
     apply_fedavg: bool = False
@@ -260,7 +260,6 @@ def run_round(clients: list[ClientState], server: ServerState,
     act_bytes = {cid: 0 for cid in by_id}
     uplink = {cid: 0 for cid in by_id}
     losses: list[float] = []
-    server_updates = 0
 
     # --- mixer: sequence generation; clients: forward, cut, upload -------
     uploads: dict[int, UploadCutSmashed] = {}
@@ -338,54 +337,28 @@ def run_round(clients: list[ClientState], server: ServerState,
         logits = server_forward(server.segment, inputs, model_config)
         loss = cross_entropy(logits, Tensor(mixed.soft_label))
         backward(loss)
-        return float(loss.values), inputs.grad.copy()
+        return float(loss.values), inputs.grad
 
-    def deliver(downs: list[GradientDown]) -> None:
-        for down in downs:
-            deliveries[down.target] = down
-            if transcript is not None:
-                transcript.gradient_down(down)
-
-    if options.ktimes:
-        # One server pass (and step) per member; each pass's gradient flows
-        # to that member alone, so the server updates n times per round.
-        for group in groups:
-            mixed, perms = assembled[group.group_id]
-            for member in group.members:
-                loss_value, grad_in = server_pass(mixed)
-                server.optimizer.step()
-                server.optimizer.zero_grads()
-                server_updates += 1
-                if transcript is not None:
-                    transcript.server_step(group.group_id)
-                if perms is not None:
-                    grad_in = unshuffle_grid(grad_in, perms)
-                downs = route_gradients(group, grad_in, options.gradient_mode)
-                deliver([d for d in downs if d.target == member])
-                losses.append(loss_value)
-    else:
-        for group in groups:
-            mixed, perms = assembled[group.group_id]
+    for group in groups:
+        mixed, perms = assembled[group.group_id]
+        # Each pass runs the server once and steps it once.  ktimes makes one
+        # pass per member, whose gradient flows to that member alone, so the
+        # server updates n times per round.
+        passes = [[m] for m in group.members] if options.ktimes else [group.members]
+        for targets in passes:
             loss_value, grad_in = server_pass(mixed)
-            if options.server_step_mode == "per_group":
-                server.optimizer.step()
-                server.optimizer.zero_grads()
-                server_updates += 1
-                if transcript is not None:
-                    transcript.server_step(group.group_id)
-            if perms is not None:
-                grad_in = unshuffle_grid(grad_in, perms)
-            deliver(route_gradients(group, grad_in, options.gradient_mode))
-            losses.append(loss_value)
-        if options.server_step_mode == "summed":
-            # Gradients from all groups accumulated; single update.
             server.optimizer.step()
             server.optimizer.zero_grads()
-            server_updates += 1
             if transcript is not None:
-                transcript.server_step(-1)
-        elif options.server_step_mode != "per_group":
-            raise ContractError(f"unknown server_step_mode {options.server_step_mode!r}")
+                transcript.server_step(group.group_id)
+            if perms is not None:
+                grad_in = unshuffle_grid(grad_in, perms)
+            for down in route_gradients(group, grad_in, options.gradient_mode):
+                if down.target in targets:
+                    deliveries[down.target] = down
+                    if transcript is not None:
+                        transcript.gradient_down(down)
+            losses.append(loss_value)
 
     # --- clients: backward through received gradient, then step ----------
     for cid, down in deliveries.items():
@@ -412,7 +385,7 @@ def run_round(clients: list[ClientState], server: ServerState,
         client_uplink_bytes=uplink,
         total_uplink_bytes=total_uplink,
         total_activation_bytes=int(sum(act_bytes.values())),
-        server_updates=server_updates,
+        server_updates=len(losses),  # one step per server pass
         train_loss=float(np.mean(losses)) if losses else float("nan"),
         wall_time=time.perf_counter() - start)
     if transcript is not None:

@@ -24,6 +24,8 @@ attack harness         8
 
 from __future__ import annotations
 
+from functools import partialmethod
+
 import numpy as np
 
 STREAM_MASKS = 1
@@ -62,23 +64,13 @@ class RngHub:
     def __init__(self, seed: int):
         self.seed = int(seed)
 
-    def masks(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_MASKS, *counter)
+    def _stream(self, stream: int, *counter: int) -> np.random.Generator:
+        return stream_generator(self.seed, stream, *counter)
 
-    def allocations(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_ALLOC, *counter)
-
-    def shuffles(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_SHUFFLE, *counter)
-
-    def noise(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_NOISE, *counter)
-
-    def init(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_INIT, *counter)
-
-    def groups(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_GROUPS, *counter)
-
-    def data(self, *counter: int) -> np.random.Generator:
-        return stream_generator(self.seed, STREAM_DATA, *counter)
+    masks = partialmethod(_stream, STREAM_MASKS)
+    allocations = partialmethod(_stream, STREAM_ALLOC)
+    shuffles = partialmethod(_stream, STREAM_SHUFFLE)
+    noise = partialmethod(_stream, STREAM_NOISE)
+    init = partialmethod(_stream, STREAM_INIT)
+    groups = partialmethod(_stream, STREAM_GROUPS)
+    data = partialmethod(_stream, STREAM_DATA)

@@ -108,7 +108,6 @@ class TrainingSystem:
             k_way=cfg.effective_k, alpha=cfg.alpha_value,
             gradient_mode=cfg.gradient_mode, shuffle=cfg.shuffle,
             ktimes=cfg.method == "cutmixsl_ktimes",
-            server_step_mode=cfg.server_step_mode,
             noise_x=cfg.noise_x, noise_y=cfg.noise_y,
             apply_fedavg=apply_fedavg)
 
@@ -150,6 +149,33 @@ def _csv_row(metrics: RoundMetrics, n_clients: int) -> list[str]:
     return row
 
 
+def train_rounds(system: TrainingSystem, transcript=None):
+    """Run every training round of ``system.cfg`` in order.
+
+    Each round's learning rate comes from one warmup-cosine schedule over
+    the whole run; federated averaging follows the config's cadence.
+    Yields ``(epoch, last_of_epoch, metrics)`` after each round.
+    """
+    cfg = system.cfg
+    per_epoch = system.rounds_per_epoch
+    schedule = WarmupCosine(cfg.lr, cfg.epochs * per_epoch, cfg.warmup_epochs * per_epoch)
+    for epoch in range(cfg.epochs):
+        for r in range(per_epoch):
+            global_round = epoch * per_epoch + r
+            lr = schedule.lr_at(global_round)
+            for state in system.clients:
+                state.optimizer.lr = lr
+            system.server.optimizer.lr = lr
+            last_of_epoch = r == per_epoch - 1
+            apply_fedavg = cfg.fedavg_enabled and (
+                cfg.fedavg_cadence == "round" or last_of_epoch)
+            metrics = run_round(system.clients, system.server,
+                                system.batches_for(epoch, r), system.model_cfg,
+                                system.round_options(apply_fedavg), system.hub,
+                                global_round, transcript)
+            yield epoch, last_of_epoch, metrics
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train per the config; write per-round CSV metrics and a JSON summary."""
     started = time.perf_counter()
@@ -163,10 +189,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     transcript_path = os.path.join(cfg.out_dir, "transcript.bin")
 
-    total_rounds = cfg.epochs * system.rounds_per_epoch
-    schedule = WarmupCosine(cfg.lr, total_rounds,
-                            cfg.warmup_epochs * system.rounds_per_epoch)
-
     transcript_fh = open(transcript_path, "wb") if cfg.write_transcript else None
     transcript = TranscriptWriter(transcript_fh) if transcript_fh else None
 
@@ -175,35 +197,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     total_uplink = 0
     total_activation = 0
     server_updates_total = 0
-    global_round = 0
     try:
         with open(csv_path, "w", newline="") as fh:
             fh.write(f"# {CSV_SCHEMA}\n")
             writer = csv.writer(fh)
             writer.writerow(_csv_header(cfg.n_clients))
-            for epoch in range(cfg.epochs):
-                for r in range(system.rounds_per_epoch):
-                    lr = schedule.lr_at(global_round)
-                    for state in system.clients:
-                        state.optimizer.lr = lr
-                    system.server.optimizer.lr = lr
-                    last_of_epoch = r == system.rounds_per_epoch - 1
-                    apply_fedavg = cfg.fedavg_enabled and (
-                        cfg.fedavg_cadence == "round" or last_of_epoch)
-                    metrics = run_round(system.clients, system.server,
-                                        system.batches_for(epoch, r), model_cfg,
-                                        system.round_options(apply_fedavg), hub,
-                                        global_round, transcript)
-                    if last_of_epoch and (epoch + 1) % cfg.eval_every == 0:
-                        acc = evaluate(system, test)
-                        metrics.eval_accuracy = acc
-                        best_acc = max(best_acc, acc)
-                        final_acc = acc
-                    writer.writerow(_csv_row(metrics, cfg.n_clients))
-                    total_uplink += metrics.total_uplink_bytes
-                    total_activation += metrics.total_activation_bytes
-                    server_updates_total += metrics.server_updates
-                    global_round += 1
+            for epoch, last_of_epoch, metrics in train_rounds(system, transcript):
+                if last_of_epoch and (epoch + 1) % cfg.eval_every == 0:
+                    acc = evaluate(system, test)
+                    metrics.eval_accuracy = acc
+                    best_acc = max(best_acc, acc)
+                    final_acc = acc
+                writer.writerow(_csv_row(metrics, cfg.n_clients))
+                total_uplink += metrics.total_uplink_bytes
+                total_activation += metrics.total_activation_bytes
+                server_updates_total += metrics.server_updates
     finally:
         if transcript_fh:
             transcript_fh.close()
@@ -211,7 +219,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     summary = {
         "config": cfg.to_dict(),
         "schema": CSV_SCHEMA,
-        "rounds": global_round,
+        "rounds": cfg.epochs * system.rounds_per_epoch,
         "best_top1": best_acc,
         "final_top1": final_acc,
         "total_uplink_bytes": total_uplink,
@@ -233,19 +241,10 @@ def train_snapshot(cfg: ExperimentConfig) -> tuple[Snapshot, Dataset]:
     pre_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "method": "parallel_sl",
                                           "k_way": 1, "fedavg": None,
                                           "epochs": cfg.attack_pretrain_epochs,
-                                          "keep_ratio": 1.0})
+                                          "keep_ratio": 1.0, "warmup_epochs": 0})
     system = TrainingSystem(pre_cfg, model_cfg, train, hub)
-    schedule = WarmupCosine(pre_cfg.lr, pre_cfg.epochs * system.rounds_per_epoch, 0)
-    global_round = 0
-    for epoch in range(pre_cfg.epochs):
-        for r in range(system.rounds_per_epoch):
-            lr = schedule.lr_at(global_round)
-            for state in system.clients:
-                state.optimizer.lr = lr
-            system.server.optimizer.lr = lr
-            run_round(system.clients, system.server, system.batches_for(epoch, r),
-                      model_cfg, system.round_options(False), hub, global_round)
-            global_round += 1
+    for _ in train_rounds(system):
+        pass
     snapshot = Snapshot(client_segment=system.clients[0].segment,
                         dataset=train, model_config=model_cfg)
     return snapshot, test

@@ -8,8 +8,9 @@ File layout:
   magic b"SMXT" | u32 version (=1) | records...
   record: u8 tag | u32 payload length | payload
 
-Masks are encoded as one 64-bit integer when M <= 64, else ceil(M/8) bytes
-(LSB-first within each byte), matching the payload meter's accounting.
+Masks are packed LSB-first within each byte into ceil(M/8) bytes, padded
+to 8 bytes (one little-endian 64-bit integer) when M <= 64, matching the
+payload meter's accounting.
 """
 
 from __future__ import annotations
@@ -35,27 +36,21 @@ TAG_CLIENT_STEP = 7
 TAG_ROUND_END = 8
 
 
+def _mask_nbytes(length: int) -> int:
+    return 8 if length <= 64 else (length + 7) // 8
+
+
 def encode_mask(mask: np.ndarray) -> bytes:
-    length = mask.shape[0]
-    if length <= 64:
-        word = 0
-        for j in range(length):
-            if mask[j]:
-                word |= 1 << j
-        return struct.pack("<Q", word)
-    return bytes(np.packbits(mask.astype(np.uint8), bitorder="little"))
+    packed = np.packbits(mask.astype(np.uint8), bitorder="little").tobytes()
+    return packed.ljust(_mask_nbytes(mask.shape[0]), b"\0")
 
 
 def decode_mask(blob: bytes, length: int) -> np.ndarray:
-    if length <= 64:
-        (word,) = struct.unpack("<Q", blob[:8])
-        return np.array([(word >> j) & 1 for j in range(length)], dtype=np.uint8)
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), bitorder="little")
-    return bits[:length].astype(np.uint8)
-
-
-def _mask_nbytes(length: int) -> int:
-    return 8 if length <= 64 else (length + 7) // 8
+    nbytes = _mask_nbytes(length)
+    if len(blob) < nbytes:
+        raise IngestionError(f"a {length}-bit mask needs {nbytes} bytes, got {len(blob)}")
+    bits = np.frombuffer(blob, dtype=np.uint8, count=nbytes)
+    return np.unpackbits(bits, bitorder="little")[:length]
 
 
 def _f32(array: np.ndarray) -> bytes:
@@ -144,8 +139,9 @@ def _decode(tag: int, payload: bytes, path) -> dict:
     if tag == TAG_UPLOAD:
         client_id, batch, rows, dim, classes = struct.unpack_from("<IIIII", payload)
         pos = 20
-        mask = decode_mask(payload[pos:], rows)
-        pos += _mask_nbytes(rows)
+        mask_end = pos + _mask_nbytes(rows)
+        mask = decode_mask(payload[pos:mask_end], rows)
+        pos = mask_end
         tokens = np.frombuffer(payload, dtype="<f4", count=batch * rows * dim,
                                offset=pos).reshape(batch, rows, dim).copy()
         pos += 4 * batch * rows * dim

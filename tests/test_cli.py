@@ -62,8 +62,8 @@ class TestCliParsing:
                                        **{f: None for f in [
                                            "method", "n_clients", "k_way", "alpha",
                                            "shuffle", "gradient_mode", "fedavg",
-                                           "fedavg_cadence", "server_step_mode",
-                                           "keep_ratio", "mask_mode", "noise_x",
+                                           "fedavg_cadence", "keep_ratio",
+                                           "mask_mode", "noise_x",
                                            "noise_y", "dataset", "data_dir",
                                            "cifar_subset", "synthetic_samples",
                                            "synthetic_test", "synthetic_classes",
@@ -87,6 +87,14 @@ class TestCliParsing:
         code = main(["train", "--method", "cutmixsl", "--k-way", "1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_counts_below_one_are_usage_errors(self, capsys):
+        for field in ("eval_every", "batch_size", "epochs", "n_clients",
+                      "attack_pretrain_epochs"):
+            code = main(["train", "--" + field.replace("_", "-"), "0"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err
 
 
 def fast_cfg(tmp_path, **overrides):

@@ -1,12 +1,13 @@
 """Round protocol: groups, routing, metering, state machine, transcripts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from splitmix.data import make_synthetic
-from splitmix.errors import ContractError, ProtocolError
+from splitmix.errors import ContractError, IngestionError, ProtocolError
 from splitmix.mixing import CutSmashed, generate_mask_set, sample_mixing_counts
 from splitmix.model import ModelConfig, clone_client_segment, client_forward, init_parameters, server_forward
 from splitmix.optim import AdamW
@@ -18,7 +19,7 @@ from splitmix.protocol import (ClientState, MixGroup, RoundOptions,
                                validate_upload)
 from splitmix.rng import RngHub
 from splitmix.tensor import Tensor, backward, cross_entropy, mul, sum_all, zero_grads
-from splitmix.transcript import TranscriptWriter, read_transcript
+from splitmix.transcript import TranscriptWriter, decode_mask, encode_mask, read_transcript
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                   depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
@@ -181,11 +182,6 @@ class TestRunRound:
     def test_plain_sl_steps_n_times(self):
         metrics = self.run(10, RoundOptions(k_way=1))
         assert metrics.server_updates == 10
-
-    def test_summed_mode_takes_one_step(self):
-        metrics = self.run(10, RoundOptions(k_way=2, alpha=6.0,
-                                            server_step_mode="summed"))
-        assert metrics.server_updates == 1
 
     def test_uplink_conservation(self):
         metrics = self.run(6, RoundOptions(k_way=3, alpha=6.0))
@@ -369,6 +365,31 @@ class TestTranscript:
                       transcript=TranscriptWriter(fh))
         records = read_transcript(path)
         assert sum(r["type"] == "server_step" for r in records) == 10
+        # Sequence records list the members group by group, the order in
+        # which their passes run; each pass's step precedes the single
+        # gradient it sends, which goes to that pass's member.
+        members = [r["client_id"] for r in records if r["type"] == "sequence"]
+        assert sorted(members) == list(range(10))
+        server_side = [r for r in records if r["type"] in ("server_step", "gradient_down")]
+        assert [r["type"] for r in server_side] == ["server_step", "gradient_down"] * 10
+        assert [r["target"] for r in server_side[1::2]] == members
+
+    def test_mask_codec(self):
+        rng = np.random.default_rng(0)
+        for length in list(range(1, 65)) + [65, 100, 256]:
+            for mask in ((rng.random(length) < 0.5).astype(np.uint8),
+                         np.ones(length, dtype=np.uint8)):
+                blob = encode_mask(mask)
+                if length <= 64:
+                    word = sum(int(bit) << j for j, bit in enumerate(mask))
+                    assert blob == struct.pack("<Q", word)
+                else:
+                    assert len(blob) == math.ceil(length / 8)
+                decoded = decode_mask(blob, length)
+                assert decoded.dtype == np.uint8
+                assert np.array_equal(decoded, mask)
+        with pytest.raises(IngestionError):
+            decode_mask(bytes(7), 64)
 
     def test_identical_runs_identical_transcripts(self, tmp_path):
         blobs = []
