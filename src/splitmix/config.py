@@ -109,6 +109,9 @@ class ExperimentConfig:
                      "attack_pretrain_epochs"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("noise_x", "noise_y"):
+            if not getattr(self, name) >= 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.gradient_mode not in ("unicast", "broadcast"):
             raise ContractError(f"gradient_mode must be unicast or broadcast, got {self.gradient_mode!r}")
         if self.fedavg_cadence not in ("epoch", "round"):

@@ -3,7 +3,7 @@
 CIFAR-10 is read from the standard binary batches (3073-byte records: one
 label byte followed by 3072 pixel bytes in R,G,B planes).  The synthetic
 generator produces class-conditional Gaussian-blob images that a tiny
-model separates in minutes, and can be dumped in the same record format.
+model separates in minutes.
 """
 
 from __future__ import annotations
@@ -69,23 +69,6 @@ def load_cifar10(path: str) -> tuple[Dataset, Dataset]:
     labels = np.concatenate([p[1] for p in train_parts])
     test_images, test_labels = _read_records(os.path.join(path, CIFAR_TEST_FILE))
     return (Dataset(images, labels, 10), Dataset(test_images, test_labels, 10))
-
-
-def encode_records(dataset: Dataset) -> bytes:
-    """Re-encode a dataset into the binary record format (round-trips CIFAR).
-
-    The record layout is fixed at 3x32x32, so only CIFAR-shaped datasets
-    (including synthetic ones generated at that size) can be dumped.
-    """
-    n = len(dataset)
-    if dataset.images.shape[1:] != (3, 32, 32):
-        raise ContractError(
-            f"record format requires (3, 32, 32) images, got {dataset.images.shape[1:]}")
-    out = np.empty((n, CIFAR_RECORD), dtype=np.uint8)
-    out[:, 0] = dataset.labels.astype(np.uint8)
-    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
-    out[:, 1:] = pixels.reshape(n, -1)
-    return out.tobytes()
 
 
 def _class_templates(classes: int, image_size: int,

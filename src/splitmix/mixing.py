@@ -34,12 +34,11 @@ class CutMixBatch:
 
     tokens: np.ndarray
     soft_label: np.ndarray
-    group_id: int | None = None
 
 
 def _validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
-    if mask.ndim != 1 or not np.isin(mask, (0, 1)).all():
+    if mask.ndim != 1 or not ((mask == 0) | (mask == 1)).all():
         raise ContractError("mask must be a 1-d 0/1 vector")
     return mask.astype(np.uint8)
 
@@ -165,8 +164,7 @@ def shuffle_tokens(batch: CutMixBatch,
     shuffled = np.stack([g[perm] for g, perm in zip(grid, perms)])
     if single:
         shuffled, perms = shuffled[0], perms[0:1]
-    return CutMixBatch(tokens=shuffled, soft_label=batch.soft_label,
-                       group_id=batch.group_id), perms
+    return CutMixBatch(tokens=shuffled, soft_label=batch.soft_label), perms
 
 
 def unshuffle_grid(grid: np.ndarray, perms: np.ndarray) -> np.ndarray:
@@ -226,9 +224,6 @@ class CutoutMasker:
                 self._mask = self._draw()
             return self._mask
         return self._draw()
-
-    def __call__(self, tokens: np.ndarray, client_id: int | None = None) -> CutSmashed:
-        return cut(tokens, self.next_mask(), client_id)
 
 
 def add_gaussian_noise(tokens: np.ndarray, sigma: float,

@@ -9,8 +9,10 @@ client segments.
 
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
-of its loss with respect to the mixed activations; clients re-inject that
-gradient into their own graphs.
+of its loss with respect to the mixed activations.  A client's graph ends
+at its smashed data, before activation noise and the cut, and the client
+backpropagates exactly the gradient it receives through it: its own rows
+under unicast, the whole mixed-grid gradient under broadcast.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, ProtocolError
-from .mixing import (CutMixBatch, CutSmashed, CutoutMasker, add_label_noise,
-                     cutmix_assemble, generate_mask_set, sample_mixing_counts,
-                     shuffle_tokens, unshuffle_grid)
+from .mixing import (CutMixBatch, CutSmashed, CutoutMasker, add_gaussian_noise,
+                     add_label_noise, cut, cutmix_assemble, generate_mask_set,
+                     sample_mixing_counts, shuffle_tokens, unshuffle_grid)
 from .model import ClientSegment, ModelConfig, ServerSegment, client_forward, server_forward
 from .optim import AdamW
 from .rng import RngHub
-from .tensor import Tensor, add, backward, cross_entropy, mul, sum_all
+from .tensor import Tensor, backward, cross_entropy, mul, sum_all
 
 HEADER_BYTES = 16
 FLOAT_BYTES = 4
@@ -263,7 +265,7 @@ def run_round(clients: list[ClientState], server: ServerState,
 
     # --- mixer: sequence generation; clients: forward, cut, upload -------
     uploads: dict[int, UploadCutSmashed] = {}
-    client_graphs: dict[int, tuple[Tensor, Tensor]] = {}  # full smashed, cut smashed
+    smashed_of: dict[int, Tensor] = {}  # each client's graph ends here
     for group in groups:
         k_here = len(group.members)
         if k_here == 1 and by_id[group.members[0]].masker is not None:
@@ -284,27 +286,23 @@ def run_round(clients: list[ClientState], server: ServerState,
             assignment = SequenceAssignment(client_id=member, mask=mask)
             if transcript is not None:
                 transcript.sequence(assignment)
-            state = by_id[member]
             images, labels = batches[member]
-            smashed = client_forward(state.segment, images, model_config)
+            smashed = client_forward(by_id[member].segment, images, model_config)
+            smashed_of[member] = smashed
+            values = smashed.values
             if options.noise_x > 0:
-                noise = hub.noise(round_index, member, 0).normal(
-                    0.0, options.noise_x, size=smashed.shape).astype(np.float32)
-                smashed = add(smashed, Tensor(noise))
-            mask_grid = np.repeat(mask[:, None].astype(np.float32),
-                                  model_config.embed_dim, axis=1)
-            cut_smashed = mul(smashed, Tensor(mask_grid))
+                values = add_gaussian_noise(values, options.noise_x,
+                                            hub.noise(round_index, member, 0))
             label_rows = one_hot(labels, num_classes)
             if options.noise_y > 0:
                 label_rows = add_label_noise(label_rows, options.noise_y,
                                              hub.noise(round_index, member, 1))
             upload = UploadCutSmashed(
                 client_id=member,
-                cut=CutSmashed(tokens=cut_smashed.values, mask=mask, client_id=member),
+                cut=cut(values, mask, member),
                 label=label_rows)
             validate_upload(upload)
             uploads[member] = upload
-            client_graphs[member] = (smashed, cut_smashed)
             act_bytes[member] = activation_bytes(upload)
             uplink[member] = payload_meter(upload)
             if transcript is not None:
@@ -316,11 +314,9 @@ def run_round(clients: list[ClientState], server: ServerState,
         parts = [uploads[m].cut for m in group.members]
         labels = [uploads[m].label for m in group.members]
         if len(parts) == 1:
-            mixed = CutMixBatch(tokens=parts[0].tokens, soft_label=labels[0],
-                                group_id=group.group_id)
+            mixed = CutMixBatch(tokens=parts[0].tokens, soft_label=labels[0])
         else:
             mixed = cutmix_assemble(parts, labels, group.allocation, tokens)
-            mixed.group_id = group.group_id
         perms = None
         if options.shuffle:
             mixed, perms = shuffle_tokens(mixed, hub.shuffles(round_index, group.group_id))
@@ -360,13 +356,10 @@ def run_round(clients: list[ClientState], server: ServerState,
                         transcript.gradient_down(down)
             losses.append(loss_value)
 
-    # --- clients: backward through received gradient, then step ----------
+    # --- clients: backward the received gradient through the smashed data -
     for cid, down in deliveries.items():
         state = by_id[cid]
-        full_smashed, cut_smashed = client_graphs[cid]
-        carrier = full_smashed if down.broadcast else cut_smashed
-        proxy = sum_all(mul(carrier, Tensor(down.grad)))
-        backward(proxy)
+        backward(sum_all(mul(smashed_of[cid], Tensor(down.grad))))
         state.optimizer.step()
         state.optimizer.zero_grads()
         if transcript is not None:

@@ -3,7 +3,8 @@
 Everything here is deliberately separate from the package's engine: plain
 numpy in double precision, loop-based where that makes independence
 clearer.  Finite differences of these references give clean gradients to
-hold the float32 autodiff to.
+hold the float32 autodiff to.  ``encode_records`` writes datasets in the
+CIFAR-10 record format the loader reads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from splitmix.data import CIFAR_RECORD
+from splitmix.errors import ContractError
 
 
 def central_difference(f, arrays: dict[str, np.ndarray], h: float = 1e-3) -> dict[str, np.ndarray]:
@@ -150,3 +154,20 @@ class RefAdamW:
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             value -= np.float32(self.lr) * (update + self.weight_decay * value)
+
+
+def encode_records(dataset) -> bytes:
+    """Re-encode a dataset into the binary record format (round-trips CIFAR).
+
+    The record layout is fixed at 3x32x32, so only CIFAR-shaped datasets
+    (including synthetic ones generated at that size) can be dumped.
+    """
+    n = len(dataset)
+    if dataset.images.shape[1:] != (3, 32, 32):
+        raise ContractError(
+            f"record format requires (3, 32, 32) images, got {dataset.images.shape[1:]}")
+    out = np.empty((n, CIFAR_RECORD), dtype=np.uint8)
+    out[:, 0] = dataset.labels.astype(np.uint8)
+    pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
+    out[:, 1:] = pixels.reshape(n, -1)
+    return out.tobytes()

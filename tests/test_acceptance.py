@@ -202,17 +202,12 @@ def test_criterion_4_gradient_correctness():
                                     images[cid].astype(np.float64), config.patch_size)
                  for cid in range(2)]
 
-    # Engine-side pipeline, both routing modes.
+    # Engine-side pipeline, both routing modes, with run_round's client step.
     worst = 0.0
     for mode in ("unicast", "broadcast"):
-        smashed, cuts = [], []
-        for cid in range(2):
-            s = client_forward(segments[cid], images[cid], config)
-            grid = np.repeat(masks[cid][:, None].astype(np.float32),
-                             config.embed_dim, axis=1)
-            smashed.append(s)
-            cuts.append(mul(s, Tensor(grid)))
-        inputs = Tensor(cuts[0].values + cuts[1].values, requires_grad=True)
+        smashed = [client_forward(segments[cid], images[cid], config) for cid in range(2)]
+        cuts = [cut(s.values, m).tokens for s, m in zip(smashed, masks)]
+        inputs = Tensor(cuts[0] + cuts[1], requires_grad=True)
         loss = cross_entropy(server_forward(server_segment, inputs, config),
                              Tensor(soft))
         backward(loss)
@@ -226,8 +221,7 @@ def test_criterion_4_gradient_correctness():
         group = MixGroup(0, [0, 1], counts, masks)
         downs = route_gradients(group, inputs.grad, mode)
         for cid, down in enumerate(downs):
-            carrier = smashed[cid] if mode == "broadcast" else cuts[cid]
-            backward(sum_all(mul(carrier, Tensor(down.grad))))
+            backward(sum_all(mul(smashed[cid], Tensor(down.grad))))
             if mode == "unicast":
                 expected = central_difference(ref_true_loss, params64[f"client{cid}"],
                                               h=1e-3)

@@ -96,6 +96,14 @@ class TestCliParsing:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err
 
+    def test_negative_noise_is_a_usage_error(self, capsys):
+        # run_round adds noise only above 0, so a negative scale would train without it.
+        for flag, value in (("--noise-x", "-1"), ("--noise-y", "-0.5")):
+            code = main(["train", flag, value])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
 
 def fast_cfg(tmp_path, **overrides):
     base = dict(method="parallel_sl", n_clients=2, dataset="synthetic",

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from splitmix.data import (CIFAR_RECORD, Dataset, encode_records, load_cifar10,
-                           make_synthetic, partition)
+from splitmix.data import CIFAR_RECORD, Dataset, load_cifar10, make_synthetic, partition
 from splitmix.errors import ContractError, IngestionError
+
+from oracles import encode_records
 
 
 def write_cifar_dir(path, n_per_file=20, seed=0):

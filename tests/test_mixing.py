@@ -105,6 +105,14 @@ class TestCut:
         with pytest.raises(DimensionError):
             cut(grid, np.ones(3, dtype=np.uint8))
 
+    def test_mask_must_be_a_one_dimensional_zero_one_vector(self):
+        grid = np.ones((2, 2), dtype=np.float32)
+        for bad in ([0, 2], [0.5, 1], [-1, 0], [[0, 1], [1, 0]]):
+            with pytest.raises(ContractError):
+                cut(grid, np.array(bad))
+        for good in ([True, False], [1.0, 0.0]):
+            assert np.array_equal(cut(grid, np.array(good)).tokens, [[1, 1], [0, 0]])
+
 
 class TestCutmixAssemble:
     def test_soft_label_arithmetic(self):
@@ -258,7 +266,7 @@ class TestCutout:
     def test_full_keep_is_identity(self):
         grid = gen(0).normal(size=(16, 3)).astype(np.float32)
         masker = CutoutMasker(1.0, "per_iteration", 16, gen(1))
-        assert np.array_equal(masker(grid).tokens, grid)
+        assert np.array_equal(cut(grid, masker.next_mask()).tokens, grid)
 
     def test_half_keep_popcount(self):
         masker = CutoutMasker(0.5, "per_iteration", 16, gen(2))

@@ -18,7 +18,7 @@ from splitmix.protocol import (ClientState, MixGroup, RoundOptions,
                                payload_meter, route_gradients, run_round,
                                validate_upload)
 from splitmix.rng import RngHub
-from splitmix.tensor import Tensor, backward, cross_entropy, mul, sum_all, zero_grads
+from splitmix.tensor import Tensor, add, backward, cross_entropy, mul, sum_all, zero_grads
 from splitmix.transcript import TranscriptWriter, decode_mask, encode_mask, read_transcript
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
@@ -296,6 +296,47 @@ class TestGradientModes:
             zero_grads(server.segment.parameters().values())
         print(f"unicast vs broadcast client-grad norms: {norms}")
         assert norms["unicast"] > 0 and norms["broadcast"] > 0
+
+
+class TestClientStep:
+    @pytest.mark.parametrize("mode,ktimes", [("unicast", False), ("broadcast", False),
+                                             ("unicast", True), ("broadcast", True)])
+    def test_update_matches_two_carrier_replica(self, tmp_path, mode, ktimes):
+        """run_round's client step, bit for bit, against a hand-built graph.
+
+        The replica adds the activation noise and the cut as graph nodes and
+        backpropagates broadcast gradients through the noisy activations and
+        unicast ones through the cut, feeding each client the gradient the
+        round's transcript shows it received.
+        """
+        n, seed, sigma = 4, 7, 0.1
+        clients, server = build_system(n, seed)
+        batches = build_batches(n, 3, seed)
+        path = tmp_path / "round.bin"
+        with open(path, "wb") as fh:
+            run_round(clients, server, batches, CFG,
+                      RoundOptions(k_way=2, alpha=6.0, gradient_mode=mode,
+                                   ktimes=ktimes, noise_x=sigma),
+                      RngHub(seed), 0, transcript=TranscriptWriter(fh))
+        records = read_transcript(path)
+        masks = {r["client_id"]: r["mask"] for r in records if r["type"] == "sequence"}
+        downs = {r["target"]: r for r in records if r["type"] == "gradient_down"}
+        assert sorted(downs) == list(range(n))
+
+        replicas, _ = build_system(n, seed)
+        hub = RngHub(seed)
+        for state in replicas:
+            cid = state.client_id
+            smashed = client_forward(state.segment, batches[cid][0], CFG)
+            noise = hub.noise(0, cid, 0).normal(0.0, sigma, size=smashed.shape)
+            noisy = add(smashed, Tensor(noise.astype(np.float32)))
+            grid = np.repeat(masks[cid][:, None].astype(np.float32), CFG.embed_dim, axis=1)
+            carrier = noisy if downs[cid]["broadcast"] else mul(noisy, Tensor(grid))
+            backward(sum_all(mul(carrier, Tensor(downs[cid]["grad"]))))
+            state.optimizer.step()
+            trained = clients[cid].segment.parameters()
+            for name, tensor in state.segment.parameters().items():
+                assert tensor.values.tobytes() == trained[name].values.tobytes(), (cid, name)
 
 
 class TestDegenerateEquivalence:
