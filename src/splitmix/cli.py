@@ -9,72 +9,44 @@ values, which override defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from .config import ExperimentConfig
-from .errors import SplitMixError
+from .config import CHOICES, FIELD_TYPES, ExperimentConfig
+from .errors import ContractError, SplitMixError
+
+
+# Flags not named by the rule "--" + field name with dashes.
+_FLAG_NAMES = {"partition_mode": "--partition", "write_transcript": "--transcript"}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    add = parser.add_argument
-    add("--config", metavar="FILE", help="JSON config file (flags override it)")
-    add("--method", choices=("parallel_sl", "splitfed", "cutmixsl", "cutmixsfl",
-                             "cutmixsl_ktimes"))
-    add("--n-clients", type=int, dest="n_clients")
-    add("--k-way", type=int, dest="k_way")
-    add("--alpha", help="Dirichlet dispersion: number, 'inf', or 'uniform'")
-    add("--shuffle", action=argparse.BooleanOptionalAction)
-    add("--gradient-mode", choices=("unicast", "broadcast"), dest="gradient_mode")
-    add("--fedavg", action=argparse.BooleanOptionalAction)
-    add("--fedavg-cadence", choices=("epoch", "round"), dest="fedavg_cadence")
-    add("--keep-ratio", type=float, dest="keep_ratio")
-    add("--mask-mode", choices=("fixed", "per_iteration"), dest="mask_mode")
-    add("--noise-x", type=float, dest="noise_x")
-    add("--noise-y", type=float, dest="noise_y")
-    add("--dataset", choices=("synthetic", "cifar10"))
-    add("--data-dir", dest="data_dir")
-    add("--cifar-subset", type=int, dest="cifar_subset")
-    add("--synthetic-samples", type=int, dest="synthetic_samples")
-    add("--synthetic-test", type=int, dest="synthetic_test")
-    add("--synthetic-classes", type=int, dest="synthetic_classes")
-    add("--synthetic-noise", type=float, dest="synthetic_noise")
-    add("--synthetic-jitter", type=float, dest="synthetic_jitter")
-    add("--synthetic-radius", type=float, dest="synthetic_radius")
-    add("--synthetic-mosaic", type=float, dest="synthetic_mosaic")
-    add("--partition", choices=("iid", "dirichlet"), dest="partition_mode")
-    add("--dirichlet-mu", type=float, dest="dirichlet_mu")
-    add("--profile", choices=("paper", "desk"))
-    add("--lr", type=float)
-    add("--weight-decay", type=float, dest="weight_decay")
-    add("--warmup-epochs", type=int, dest="warmup_epochs")
-    add("--epochs", type=int)
-    add("--batch-size", type=int, dest="batch_size")
-    add("--eval-every", type=int, dest="eval_every")
-    add("--seed", type=int)
-    add("--out-dir", dest="out_dir")
-    add("--transcript", action=argparse.BooleanOptionalAction, dest="write_transcript")
-    add("--attack-decoder-width", type=int, dest="attack_decoder_width")
-    add("--attack-decoder-depth", type=int, dest="attack_decoder_depth")
-    add("--attack-epochs", type=int, dest="attack_epochs")
-    add("--attack-batch-size", type=int, dest="attack_batch_size")
-    add("--attack-lr", type=float, dest="attack_lr")
-    add("--attack-keep-ratio", type=float, dest="attack_keep_ratio")
-    add("--attack-alpha", type=float, dest="attack_alpha")
-    add("--attack-pretrain-epochs", type=int, dest="attack_pretrain_epochs")
-    add("--attack-seed", type=int, dest="attack_seed")
+    """One flag per config field, typed and restricted by its declaration."""
+    parser.add_argument("--config", metavar="FILE", help="JSON config file (flags override it)")
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        kinds = set(FIELD_TYPES[f.name]) - {type(None)}
+        spec = {"dest": f.name, "help": f.metadata.get("help")}
+        if kinds == {bool}:
+            spec["action"] = argparse.BooleanOptionalAction
+        elif kinds in ({int}, {float}):
+            spec["type"] = kinds.pop()
+        if f.name in CHOICES:
+            spec["choices"] = CHOICES[f.name]
+        parser.add_argument(flag, **spec)
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = ExperimentConfig().to_dict()
-    overrides = {k: v for k, v in vars(args).items()
-                 if v is not None and k not in ("command", "config")}
+    file_values = {}
     if args.config:
         with open(args.config) as fh:
             file_values = json.load(fh)
-        merged.update(file_values)
-    merged.update(overrides)
-    return ExperimentConfig.from_dict(merged)
+        if not isinstance(file_values, dict):
+            raise ContractError(f"{args.config}: a config file must hold one JSON object")
+    overrides = {k: v for k, v in vars(args).items()
+                 if v is not None and k not in ("command", "config")}
+    return ExperimentConfig.from_dict({**file_values, **overrides})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-    except (SplitMixError, json.JSONDecodeError, OSError) as exc:
+    except (SplitMixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     from . import runner

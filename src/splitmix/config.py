@@ -1,18 +1,33 @@
-"""Experiment configuration: defaults < config file < CLI flags."""
+"""Experiment configuration: defaults < config file < CLI flags.
+
+A field's annotation is the type ``validate`` checks and its CLI flag
+parses; ``CHOICES`` restricts the enumerated fields for both.
+"""
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
+import typing
 from dataclasses import dataclass, field
 
 from .errors import ContractError
+from .mixing import MASK_MODES
+from .model import PROFILES
 
-METHODS = ("parallel_sl", "splitfed", "cutmixsl", "cutmixsfl", "cutmixsl_ktimes")
 MIXING_METHODS = ("cutmixsl", "cutmixsfl", "cutmixsl_ktimes")
 FEDAVG_METHODS = ("splitfed", "cutmixsfl")
+
+CHOICES = {
+    "method": ("parallel_sl", "splitfed", *MIXING_METHODS),
+    "gradient_mode": ("unicast", "broadcast"),
+    "fedavg_cadence": ("epoch", "round"),
+    "mask_mode": MASK_MODES,
+    "dataset": ("synthetic", "cifar10"),
+    "partition_mode": ("iid", "dirichlet"),
+    "profile": tuple(PROFILES),
+}
 
 DATA_DIR_ENV = "SPLITMIX_DATA_DIR"
 
@@ -22,16 +37,17 @@ class ExperimentConfig:
     method: str = "parallel_sl"
     n_clients: int = 2
     k_way: int = 1
-    alpha: float | str = 6.0  # number, "inf", or "uniform"
+    alpha: float | str = field(
+        default=6.0, metadata={"help": "Dirichlet dispersion: number, 'inf', or 'uniform'"})
     shuffle: bool = False
     gradient_mode: str = "unicast"
     fedavg: bool | None = None  # None: derived from method
-    fedavg_cadence: str = "epoch"  # or "round"
+    fedavg_cadence: str = "epoch"
     keep_ratio: float = 1.0  # token cutout for the k=1 baseline
-    mask_mode: str = "per_iteration"  # or "fixed"
+    mask_mode: str = "per_iteration"
     noise_x: float = 0.0
     noise_y: float = 0.0
-    dataset: str = "synthetic"  # or "cifar10"
+    dataset: str = "synthetic"
     data_dir: str | None = None
     cifar_subset: int = 0  # 0 = all samples
     synthetic_samples: int = 512
@@ -99,33 +115,35 @@ class ExperimentConfig:
     # -- validation and (de)serialization ----------------------------------
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ContractError(f"unknown method {self.method!r}; choose from {METHODS}")
+        for name, kinds in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not any(_is_a(value, kind) for kind in kinds):
+                allowed = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+                raise ContractError(f"{name} must be {allowed}, got {value!r}")
+            if name in CHOICES and value not in CHOICES[name]:
+                raise ContractError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
+        for name in ("n_clients", "epochs", "batch_size", "eval_every",
+                     "attack_pretrain_epochs", "synthetic_test"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("noise_x", "noise_y", "warmup_epochs", "cifar_subset"):
+            if not getattr(self, name) >= 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.lr > 0:
+            raise ContractError(f"lr must be > 0, got {self.lr}")
+        if not 0.0 < self.keep_ratio <= 1.0:
+            raise ContractError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
+        classes = PROFILES[self.profile].num_classes
+        if not 1 <= self.synthetic_classes <= classes:
+            raise ContractError(f"synthetic_classes must lie in [1, {classes}] for profile "
+                                f"{self.profile!r}, got {self.synthetic_classes}")
         if self.method not in MIXING_METHODS and self.k_way > 1:
             raise ContractError(f"{self.method} does not mix activations; k_way must be 1")
         if self.method in MIXING_METHODS and self.k_way < 2:
             raise ContractError(f"{self.method} requires k_way >= 2")
-        for name in ("n_clients", "epochs", "batch_size", "eval_every",
-                     "attack_pretrain_epochs"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("noise_x", "noise_y"):
-            if not getattr(self, name) >= 0:
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.gradient_mode not in ("unicast", "broadcast"):
-            raise ContractError(f"gradient_mode must be unicast or broadcast, got {self.gradient_mode!r}")
-        if self.fedavg_cadence not in ("epoch", "round"):
-            raise ContractError(f"fedavg_cadence must be epoch or round, got {self.fedavg_cadence!r}")
-        if self.mask_mode not in ("fixed", "per_iteration"):
-            raise ContractError(f"mask_mode must be fixed or per_iteration, got {self.mask_mode!r}")
-        if not 0.0 < self.keep_ratio <= 1.0:
-            raise ContractError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
-        if self.dataset not in ("synthetic", "cifar10"):
-            raise ContractError(f"dataset must be synthetic or cifar10, got {self.dataset!r}")
-        if self.partition_mode not in ("iid", "dirichlet"):
-            raise ContractError(f"partition_mode must be iid or dirichlet")
-        if self.profile not in ("paper", "desk"):
-            raise ContractError(f"profile must be paper or desk, got {self.profile!r}")
+        if self.k_way > self.n_clients:
+            raise ContractError(f"k_way {self.k_way} exceeds n_clients {self.n_clients}: "
+                                f"a group cannot mix more clients than there are")
         if self.method in FEDAVG_METHODS and self.fedavg is False:
             raise ContractError(f"{self.method} requires federated averaging")
         self.alpha_value  # raises on malformed strings
@@ -141,9 +159,14 @@ class ExperimentConfig:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+# Per field, the types its annotation admits: ``float | None`` -> (float, NoneType).
+FIELD_TYPES = {name: typing.get_args(hint) or (hint,)
+               for name, hint in typing.get_type_hints(ExperimentConfig).items()}
+
+
+def _is_a(value, kind: type) -> bool:
+    """isinstance, except that a bool is not a number and an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)

@@ -196,6 +196,9 @@ def keep_count(keep_ratio: float, tokens: int) -> int:
     return min(tokens, int(math.floor(keep_ratio * tokens + 0.5)))
 
 
+MASK_MODES = ("fixed", "per_iteration")
+
+
 class CutoutMasker:
     """Random token-level cutout keeping round(keep_ratio * M) rows.
 
@@ -205,7 +208,7 @@ class CutoutMasker:
 
     def __init__(self, keep_ratio: float, mode: str, tokens: int,
                  rng: np.random.Generator):
-        if mode not in ("fixed", "per_iteration"):
+        if mode not in MASK_MODES:
             raise ContractError(f"unknown cutout mode {mode!r}")
         self.count = keep_count(keep_ratio, tokens)
         self.mode = mode

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, IngestionError
+from .errors import ContractError, DimensionError
 from .tensor import (Tensor, add, concat, expand_batch, gelu, layer_norm, linear,
                      matmul, reshape, scale, slice_rows, softmax, transpose)
 
@@ -272,30 +272,25 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise IngestionError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    from .transcript import BinaryReader  # transcript -> protocol -> model
+
+    reader = BinaryReader.from_file(path)
+    if reader.take(4, "magic") != _CKPT_MAGIC:
+        reader.fail("not a checkpoint file (bad magic)", 0)
+    version, count = reader.unpack("II", "header")
     if version != _CKPT_VERSION:
-        raise IngestionError(f"{path}: unsupported checkpoint version {version}")
-    offset = 12
+        reader.fail(f"unsupported checkpoint version {version}", 4)
     named: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(dims)) if ndim else 1
-        end = offset + 4 * size
-        if end > len(blob):
-            raise IngestionError(f"{path}: truncated payload for tensor '{name}'")
-        named[name] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(dims).copy()
-        offset = end
+        at = reader.pos
+        (name_len,) = reader.unpack("H", "name length")
+        name = reader.text(name_len, "tensor name")
+        if name in named:
+            reader.fail(f"second tensor named '{name}'", at)
+        (ndim,) = reader.unpack("B", f"rank of '{name}'")
+        dims = reader.unpack(f"{ndim}I", f"dims of '{name}'")
+        named[name] = reader.f32(dims, f"payload of '{name}'")
+    reader.done(f"{count} tensors")
     return named
 
 

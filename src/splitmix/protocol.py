@@ -67,6 +67,12 @@ class GradientDown:
     broadcast: bool = False
 
 
+def mask_nbytes(length: int) -> int:
+    """Wire size of a length-bit mask: one 64-bit word while length <= 64,
+    else ceil(length / 8) bytes."""
+    return 8 if length <= 64 else (length + 7) // 8
+
+
 def activation_bytes(msg: UploadCutSmashed) -> int:
     """Transmitted activation payload: a_i * d * 4 * batch (0 if nothing sent)."""
     kept = int(msg.cut.mask.sum())
@@ -91,8 +97,7 @@ def payload_meter(msg) -> int:
         classes = msg.label.shape[-1]
         return act + HEADER_BYTES + classes * FLOAT_BYTES * batch
     if isinstance(msg, SequenceAssignment):
-        length = msg.mask.shape[0]
-        return 8 if length <= 64 else math.ceil(length / 8)
+        return mask_nbytes(msg.mask.shape[0])
     if isinstance(msg, ServerBatch):
         batch, rows, dim = msg.cutmix.tokens.shape
         classes = msg.cutmix.soft_label.shape[-1]

@@ -10,18 +10,23 @@ File layout:
 
 Masks are packed LSB-first within each byte into ceil(M/8) bytes, padded
 to 8 bytes (one little-endian 64-bit integer) when M <= 64, matching the
-payload meter's accounting.
+payload meter's accounting (``protocol.mask_nbytes``).
+
+There is no end-of-file record: a file cut exactly at a record boundary
+reads as a shorter transcript.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import BinaryIO
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
 from .errors import IngestionError
-from .protocol import GradientDown, SequenceAssignment, ServerBatch, UploadCutSmashed
+from .protocol import (GradientDown, SequenceAssignment, ServerBatch, UploadCutSmashed,
+                       mask_nbytes)
 
 _MAGIC = b"SMXT"
 _VERSION = 1
@@ -36,21 +41,13 @@ TAG_CLIENT_STEP = 7
 TAG_ROUND_END = 8
 
 
-def _mask_nbytes(length: int) -> int:
-    return 8 if length <= 64 else (length + 7) // 8
-
-
 def encode_mask(mask: np.ndarray) -> bytes:
     packed = np.packbits(mask.astype(np.uint8), bitorder="little").tobytes()
-    return packed.ljust(_mask_nbytes(mask.shape[0]), b"\0")
+    return packed.ljust(mask_nbytes(mask.shape[0]), b"\0")
 
 
 def decode_mask(blob: bytes, length: int) -> np.ndarray:
-    nbytes = _mask_nbytes(length)
-    if len(blob) < nbytes:
-        raise IngestionError(f"a {length}-bit mask needs {nbytes} bytes, got {len(blob)}")
-    bits = np.frombuffer(blob, dtype=np.uint8, count=nbytes)
-    return np.unpackbits(bits, bitorder="little")[:length]
+    return BinaryReader(blob, "mask").mask(length, f"{length}-bit mask")
 
 
 def _f32(array: np.ndarray) -> bytes:
@@ -106,72 +103,105 @@ class TranscriptWriter:
         self._record(TAG_ROUND_END, struct.pack("<IQ", round_index, total_uplink))
 
 
+class BinaryReader:
+    """Bounds-checked little-endian cursor over ``blob[start:end]``.
+
+    Every read names its field.  A field that overruns ``end`` or does not
+    decode raises ``IngestionError`` naming the field and its byte offset.
+    """
+
+    def __init__(self, blob, path, start: int = 0, end: int | None = None):
+        self.blob = memoryview(blob)
+        self.path = path
+        self.pos = start
+        self.end = len(blob) if end is None else end
+
+    @classmethod
+    def from_file(cls, path) -> "BinaryReader":
+        with open(path, "rb") as fh:
+            return cls(fh.read(), path)
+
+    def fail(self, problem: str, at: int | None = None) -> NoReturn:
+        raise IngestionError(f"{self.path}: {problem} at byte {self.pos if at is None else at}")
+
+    def take(self, nbytes: int, field: str) -> memoryview:
+        left = self.end - self.pos
+        if nbytes > left:
+            self.fail(f"{field} needs {nbytes} bytes, {left} left")
+        self.pos += nbytes
+        return self.blob[self.pos - nbytes:self.pos]
+
+    def unpack(self, fmt: str, field: str) -> tuple:
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), field))
+
+    def text(self, nbytes: int, field: str) -> str:
+        at = self.pos
+        try:
+            return str(self.take(nbytes, field), "utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"{field} is not valid UTF-8", at)
+
+    def f32(self, shape: tuple, field: str) -> np.ndarray:
+        at = self.pos
+        raw = self.take(4 * math.prod(shape), field)
+        try:
+            return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        except ValueError:
+            self.fail(f"{field} cannot take shape {tuple(shape)}", at)
+
+    def mask(self, length: int, field: str) -> np.ndarray:
+        bits = np.frombuffer(self.take(mask_nbytes(length), field), dtype=np.uint8)
+        return np.unpackbits(bits, bitorder="little")[:length]
+
+    def done(self, field: str) -> None:
+        if self.pos != self.end:
+            self.fail(f"{self.end - self.pos} trailing bytes after {field}")
+
+
 def read_transcript(path) -> list[dict]:
     """Decode a transcript into a list of structured records."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise IngestionError(f"{path}: not a transcript (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    reader = BinaryReader.from_file(path)
+    if reader.take(4, "magic") != _MAGIC:
+        reader.fail("not a transcript (bad magic)", 0)
+    (version,) = reader.unpack("I", "version")
     if version != _VERSION:
-        raise IngestionError(f"{path}: unsupported transcript version {version}")
-    offset = 8
+        reader.fail(f"unsupported transcript version {version}", 4)
     records: list[dict] = []
-    while offset < len(blob):
-        tag, length = struct.unpack_from("<BI", blob, offset)
-        offset += 5
-        payload = blob[offset:offset + length]
-        if len(payload) != length:
-            raise IngestionError(f"{path}: truncated record at byte {offset}")
-        offset += length
-        records.append(_decode(tag, payload, path))
+    while reader.pos < reader.end:
+        at = reader.pos
+        tag, length = reader.unpack("BI", "record header")
+        reader.take(length, f"tag-{tag} record payload")
+        payload = BinaryReader(reader.blob, path, reader.pos - length, reader.pos)
+        records.append(_decode(tag, payload, at))
+        payload.done(f"the tag-{tag} record")
     return records
 
 
-def _decode(tag: int, payload: bytes, path) -> dict:
+def _decode(tag: int, r: BinaryReader, at: int) -> dict:
     if tag == TAG_ROUND_START:
-        (round_index,) = struct.unpack("<I", payload)
-        return {"type": "round_start", "round": round_index}
+        return {"type": "round_start", "round": r.unpack("I", "round")[0]}
     if tag == TAG_SEQUENCE:
-        client_id, length = struct.unpack_from("<II", payload)
-        mask = decode_mask(payload[8:], length)
-        return {"type": "sequence", "client_id": client_id, "mask": mask}
+        client_id, length = r.unpack("II", "sequence header")
+        return {"type": "sequence", "client_id": client_id, "mask": r.mask(length, "mask")}
     if tag == TAG_UPLOAD:
-        client_id, batch, rows, dim, classes = struct.unpack_from("<IIIII", payload)
-        pos = 20
-        mask_end = pos + _mask_nbytes(rows)
-        mask = decode_mask(payload[pos:mask_end], rows)
-        pos = mask_end
-        tokens = np.frombuffer(payload, dtype="<f4", count=batch * rows * dim,
-                               offset=pos).reshape(batch, rows, dim).copy()
-        pos += 4 * batch * rows * dim
-        label = np.frombuffer(payload, dtype="<f4", count=batch * classes,
-                              offset=pos).reshape(batch, classes).copy()
-        return {"type": "upload", "client_id": client_id, "mask": mask,
-                "tokens": tokens, "label": label}
+        client_id, batch, rows, dim, classes = r.unpack("IIIII", "upload header")
+        return {"type": "upload", "client_id": client_id, "mask": r.mask(rows, "mask"),
+                "tokens": r.f32((batch, rows, dim), "tokens"),
+                "label": r.f32((batch, classes), "label")}
     if tag == TAG_SERVER_BATCH:
-        group_id, batch, rows, dim, classes = struct.unpack_from("<IIIII", payload)
-        pos = 20
-        tokens = np.frombuffer(payload, dtype="<f4", count=batch * rows * dim,
-                               offset=pos).reshape(batch, rows, dim).copy()
-        pos += 4 * batch * rows * dim
-        soft = np.frombuffer(payload, dtype="<f4", count=batch * classes,
-                             offset=pos).reshape(batch, classes).copy()
-        return {"type": "server_batch", "group_id": group_id, "tokens": tokens,
-                "soft_label": soft}
+        group_id, batch, rows, dim, classes = r.unpack("IIIII", "server batch header")
+        return {"type": "server_batch", "group_id": group_id,
+                "tokens": r.f32((batch, rows, dim), "tokens"),
+                "soft_label": r.f32((batch, classes), "soft label")}
     if tag == TAG_GRAD_DOWN:
-        target, broadcast, batch, rows, dim = struct.unpack_from("<IBIII", payload)
-        grad = np.frombuffer(payload, dtype="<f4", count=batch * rows * dim,
-                             offset=17).reshape(batch, rows, dim).copy()
-        return {"type": "gradient_down", "target": target,
-                "broadcast": bool(broadcast), "grad": grad}
+        target, broadcast, batch, rows, dim = r.unpack("IBIII", "gradient header")
+        return {"type": "gradient_down", "target": target, "broadcast": bool(broadcast),
+                "grad": r.f32((batch, rows, dim), "gradient")}
     if tag == TAG_SERVER_STEP:
-        (group_id,) = struct.unpack("<i", payload)
-        return {"type": "server_step", "group_id": group_id}
+        return {"type": "server_step", "group_id": r.unpack("i", "group_id")[0]}
     if tag == TAG_CLIENT_STEP:
-        (client_id,) = struct.unpack("<I", payload)
-        return {"type": "client_step", "client_id": client_id}
+        return {"type": "client_step", "client_id": r.unpack("I", "client_id")[0]}
     if tag == TAG_ROUND_END:
-        round_index, total = struct.unpack("<IQ", payload)
+        round_index, total = r.unpack("IQ", "round end")
         return {"type": "round_end", "round": round_index, "total_uplink": total}
-    raise IngestionError(f"{path}: unknown record tag {tag}")
+    r.fail(f"unknown record tag {tag}", at)

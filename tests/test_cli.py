@@ -1,12 +1,14 @@
 """Config plumbing, CLI behavior, metrics files, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
-from splitmix.cli import main
+from splitmix.cli import _add_common_flags, build_config, main
 from splitmix.config import ExperimentConfig
 from splitmix.errors import ContractError
 from splitmix.runner import CSV_SCHEMA, run_attack_suite, run_experiment
@@ -14,12 +16,12 @@ from splitmix.runner import CSV_SCHEMA, run_attack_suite, run_experiment
 
 class TestConfig:
     def test_round_trip_identity(self):
-        cfg = ExperimentConfig(method="cutmixsl", k_way=3, alpha="uniform",
+        cfg = ExperimentConfig(method="cutmixsl", n_clients=3, k_way=3, alpha="uniform",
                                shuffle=True, gradient_mode="broadcast",
                                noise_x=0.1, dirichlet_mu=0.5, seed=9)
-        again = ExperimentConfig.from_json(cfg.to_json())
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
-        assert ExperimentConfig.from_json(again.to_json()) == again
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(again.to_dict()))) == again
 
     def test_alpha_spellings(self):
         assert ExperimentConfig(alpha="inf").alpha_value == math.inf
@@ -41,6 +43,25 @@ class TestConfig:
         assert ExperimentConfig(method="cutmixsfl", k_way=2).fedavg_enabled
         assert not ExperimentConfig(method="parallel_sl").fedavg_enabled
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"n_clients": "4"}, "n_clients"), ({"lr": "x"}, "lr"), ({"k_way": 2.5}, "k_way"),
+        ({"n_clients": True}, "n_clients"), ({"seed": 1.0}, "seed")])
+    def test_field_types_checked(self, raw, field, tmp_path, capsys):
+        with pytest.raises(ContractError, match=field):
+            ExperimentConfig.from_dict(raw)
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_annotation_types(self):
+        ExperimentConfig(lr=1, keep_ratio=1, alpha="inf", fedavg=True, data_dir=None,
+                         synthetic_radius=None, attack_seed=None)
+        for bad in ({"fedavg": 1}, {"shuffle": None}, {"alpha": None}, {"out_dir": 3}):
+            with pytest.raises(ContractError, match=next(iter(bad))):
+                ExperimentConfig(**bad)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ContractError, match="mystery"):
             ExperimentConfig.from_dict({"mystery": 1})
@@ -56,32 +77,28 @@ class TestCliParsing:
         cfg_file = tmp_path / "config.json"
         cfg_file.write_text(json.dumps({"method": "cutmixsl", "k_way": 2,
                                         "epochs": 3, "seed": 5}))
-        from splitmix.cli import build_config
-        import argparse
-        namespace = argparse.Namespace(command="train", config=str(cfg_file), seed=11,
-                                       **{f: None for f in [
-                                           "method", "n_clients", "k_way", "alpha",
-                                           "shuffle", "gradient_mode", "fedavg",
-                                           "fedavg_cadence", "keep_ratio",
-                                           "mask_mode", "noise_x",
-                                           "noise_y", "dataset", "data_dir",
-                                           "cifar_subset", "synthetic_samples",
-                                           "synthetic_test", "synthetic_classes",
-                                           "synthetic_noise", "synthetic_jitter",
-                                           "synthetic_radius", "synthetic_mosaic",
-                                           "partition_mode", "dirichlet_mu", "profile",
-                                           "lr", "weight_decay", "warmup_epochs",
-                                           "epochs", "batch_size", "eval_every",
-                                           "out_dir", "write_transcript",
-                                           "attack_decoder_width", "attack_decoder_depth",
-                                           "attack_epochs", "attack_batch_size",
-                                           "attack_lr", "attack_keep_ratio",
-                                           "attack_alpha", "attack_pretrain_epochs",
-                                           "attack_seed"]})
+        namespace = argparse.Namespace(
+            command="train", config=str(cfg_file),
+            **{f.name: None for f in dataclasses.fields(ExperimentConfig)})
+        namespace.seed = 11
         cfg = build_config(namespace)
         assert cfg.method == "cutmixsl" and cfg.k_way == 2  # from file
         assert cfg.seed == 11  # flag wins
         assert cfg.epochs == 3
+
+    def test_flag_surface_is_frozen(self):
+        parser = argparse.ArgumentParser()
+        _add_common_flags(parser)
+        surface = [(a.option_strings, a.dest, a.type and a.type.__name__, a.choices,
+                    type(a).__name__) for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert surface == FLAG_SURFACE
+
+    def test_config_file_must_be_an_object(self, tmp_path, capsys):
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text("[1, 2]")
+        assert main(["train", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_config_is_usage_error(self, capsys):
         code = main(["train", "--method", "cutmixsl", "--k-way", "1"])
@@ -96,6 +113,17 @@ class TestCliParsing:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and field in err
 
+    def test_out_of_range_values_are_usage_errors(self, capsys):
+        for flags in (["--method", "cutmixsl", "--k-way", "3"],  # n_clients defaults to 2
+                      ["--synthetic-classes", "20"],  # both profiles have 10 classes
+                      ["--lr", "-1"], ["--warmup-epochs", "-3"], ["--cifar-subset", "-5"],
+                      ["--synthetic-test", "0"]):
+            field = flags[-2][2:].replace("-", "_")
+            code = main(["train", *flags])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and field in err
+
     def test_negative_noise_is_a_usage_error(self, capsys):
         # run_round adds noise only above 0, so a negative scale would train without it.
         for flag, value in (("--noise-x", "-1"), ("--noise-y", "-0.5")):
@@ -103,6 +131,56 @@ class TestCliParsing:
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+
+STORE, BOOL = "_StoreAction", "BooleanOptionalAction"
+FLAG_SURFACE = [
+    (["--config"], "config", None, None, STORE),
+    (["--method"], "method", None,
+     ("parallel_sl", "splitfed", "cutmixsl", "cutmixsfl", "cutmixsl_ktimes"), STORE),
+    (["--n-clients"], "n_clients", "int", None, STORE),
+    (["--k-way"], "k_way", "int", None, STORE),
+    (["--alpha"], "alpha", None, None, STORE),
+    (["--shuffle", "--no-shuffle"], "shuffle", None, None, BOOL),
+    (["--gradient-mode"], "gradient_mode", None, ("unicast", "broadcast"), STORE),
+    (["--fedavg", "--no-fedavg"], "fedavg", None, None, BOOL),
+    (["--fedavg-cadence"], "fedavg_cadence", None, ("epoch", "round"), STORE),
+    (["--keep-ratio"], "keep_ratio", "float", None, STORE),
+    (["--mask-mode"], "mask_mode", None, ("fixed", "per_iteration"), STORE),
+    (["--noise-x"], "noise_x", "float", None, STORE),
+    (["--noise-y"], "noise_y", "float", None, STORE),
+    (["--dataset"], "dataset", None, ("synthetic", "cifar10"), STORE),
+    (["--data-dir"], "data_dir", None, None, STORE),
+    (["--cifar-subset"], "cifar_subset", "int", None, STORE),
+    (["--synthetic-samples"], "synthetic_samples", "int", None, STORE),
+    (["--synthetic-test"], "synthetic_test", "int", None, STORE),
+    (["--synthetic-classes"], "synthetic_classes", "int", None, STORE),
+    (["--synthetic-noise"], "synthetic_noise", "float", None, STORE),
+    (["--synthetic-jitter"], "synthetic_jitter", "float", None, STORE),
+    (["--synthetic-radius"], "synthetic_radius", "float", None, STORE),
+    (["--synthetic-mosaic"], "synthetic_mosaic", "float", None, STORE),
+    (["--partition"], "partition_mode", None, ("iid", "dirichlet"), STORE),
+    (["--dirichlet-mu"], "dirichlet_mu", "float", None, STORE),
+    (["--profile"], "profile", None, ("paper", "desk"), STORE),
+    (["--lr"], "lr", "float", None, STORE),
+    (["--weight-decay"], "weight_decay", "float", None, STORE),
+    (["--warmup-epochs"], "warmup_epochs", "int", None, STORE),
+    (["--epochs"], "epochs", "int", None, STORE),
+    (["--batch-size"], "batch_size", "int", None, STORE),
+    (["--eval-every"], "eval_every", "int", None, STORE),
+    (["--seed"], "seed", "int", None, STORE),
+    (["--out-dir"], "out_dir", None, None, STORE),
+    (["--transcript", "--no-transcript"], "write_transcript", None, None, BOOL),
+    (["--attack-decoder-width"], "attack_decoder_width", "int", None, STORE),
+    (["--attack-decoder-depth"], "attack_decoder_depth", "int", None, STORE),
+    (["--attack-epochs"], "attack_epochs", "int", None, STORE),
+    (["--attack-batch-size"], "attack_batch_size", "int", None, STORE),
+    (["--attack-lr"], "attack_lr", "float", None, STORE),
+    (["--attack-keep-ratio"], "attack_keep_ratio", "float", None, STORE),
+    (["--attack-alpha"], "attack_alpha", "float", None, STORE),
+    (["--attack-pretrain-epochs"], "attack_pretrain_epochs", "int", None, STORE),
+    (["--attack-seed"], "attack_seed", "int", None, STORE),
+]
 
 
 def fast_cfg(tmp_path, **overrides):

@@ -1,6 +1,7 @@
 """Round protocol: groups, routing, metering, state machine, transcripts."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, IngestionError, ProtocolError
 from splitmix.mixing import CutSmashed, generate_mask_set, sample_mixing_counts
-from splitmix.model import ModelConfig, clone_client_segment, client_forward, init_parameters, server_forward
+from splitmix.model import (ModelConfig, clone_client_segment, client_forward, init_parameters,
+                            load_checkpoint, save_checkpoint, segments_to_named, server_forward)
 from splitmix.optim import AdamW
 from splitmix.protocol import (ClientState, MixGroup, RoundOptions,
                                SequenceAssignment, ServerBatch, ServerState,
@@ -421,6 +423,7 @@ class TestTranscript:
             for mask in ((rng.random(length) < 0.5).astype(np.uint8),
                          np.ones(length, dtype=np.uint8)):
                 blob = encode_mask(mask)
+                assert len(blob) == payload_meter(SequenceAssignment(0, mask))
                 if length <= 64:
                     word = sum(int(bit) << j for j, bit in enumerate(mask))
                     assert blob == struct.pack("<Q", word)
@@ -444,3 +447,41 @@ class TestTranscript:
                           transcript=TranscriptWriter(fh))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "transcript"])
+def test_malformed_files_load_or_raise_ingestion_error(tmp_path, kind):
+    """Every truncation and single-byte corruption of a small file either
+    loads or raises IngestionError naming a byte offset."""
+    path = tmp_path / kind
+    if kind == "checkpoint":
+        save_checkpoint(path, segments_to_named(*init_parameters(CFG, seed=8)))
+        load = load_checkpoint
+    else:
+        clients, server = build_system(2, seed=1)
+        with open(path, "wb") as fh:
+            run_round(clients, server, build_batches(2, 1, seed=1), CFG,
+                      RoundOptions(k_way=2, alpha=6.0), RngHub(1), 0,
+                      transcript=TranscriptWriter(fh))
+        load = read_transcript
+    blob = path.read_bytes()
+    # A byte past the last tensor, or inside the first record (round_start).
+    padded = (blob + b"\0" if kind == "checkpoint"
+              else blob[:8] + struct.pack("<BI", 1, 5) + blob[13:17] + b"\0" + blob[17:])
+    path.write_bytes(padded)
+    with pytest.raises(IngestionError, match="trailing"):
+        load(path)
+    rng = np.random.default_rng(0)
+    variants = [blob[:cut] for cut in range(len(blob))]
+    for offset in range(len(blob)):
+        for value in (0, 255, int(rng.integers(256))):
+            variants.append(blob[:offset] + bytes([value]) + blob[offset + 1:])
+    loaded = 0
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load(path)
+            loaded += 1
+        except IngestionError as exc:
+            assert re.search(r"at byte \d+$", str(exc)), str(exc)
+    assert 0 < loaded < len(variants)
