@@ -91,10 +91,6 @@ class ExperimentConfig:
         return self.method in FEDAVG_METHODS
 
     @property
-    def effective_k(self) -> int:
-        return self.k_way if self.method in MIXING_METHODS else 1
-
-    @property
     def alpha_value(self) -> float:
         """Numeric dispersion: "uniform" is Dirichlet(1), "inf" the even split."""
         if isinstance(self.alpha, str):
@@ -122,17 +118,24 @@ class ExperimentConfig:
                 raise ContractError(f"{name} must be {allowed}, got {value!r}")
             if name in CHOICES and value not in CHOICES[name]:
                 raise ContractError(f"{name} must be one of {CHOICES[name]}, got {value!r}")
-        for name in ("n_clients", "epochs", "batch_size", "eval_every",
-                     "attack_pretrain_epochs", "synthetic_test"):
+        for name in ("n_clients", "k_way", "epochs", "batch_size", "eval_every",
+                     "attack_pretrain_epochs", "synthetic_test", "attack_decoder_width",
+                     "attack_epochs", "attack_batch_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("noise_x", "noise_y", "warmup_epochs", "cifar_subset"):
+        for name in ("noise_x", "noise_y", "warmup_epochs", "cifar_subset", "weight_decay",
+                     "attack_decoder_depth"):
             if not getattr(self, name) >= 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.lr > 0:
-            raise ContractError(f"lr must be > 0, got {self.lr}")
-        if not 0.0 < self.keep_ratio <= 1.0:
-            raise ContractError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
+        for name in ("lr", "attack_lr", "dirichlet_mu", "attack_alpha"):
+            if not getattr(self, name) > 0:
+                raise ContractError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.alpha_value > 0:
+            raise ContractError(f"alpha must be > 0 or inf, got {self.alpha!r}")
+        for name in ("keep_ratio", "attack_keep_ratio"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value <= 1.0:
+                raise ContractError(f"{name} must lie in (0, 1], got {value}")
         classes = PROFILES[self.profile].num_classes
         if not 1 <= self.synthetic_classes <= classes:
             raise ContractError(f"synthetic_classes must lie in [1, {classes}] for profile "
@@ -146,7 +149,6 @@ class ExperimentConfig:
                                 f"a group cannot mix more clients than there are")
         if self.method in FEDAVG_METHODS and self.fedavg is False:
             raise ContractError(f"{self.method} requires federated averaging")
-        self.alpha_value  # raises on malformed strings
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -150,20 +150,15 @@ def cutmix_assemble(parts: list[CutSmashed], labels: list[np.ndarray],
 
 def shuffle_tokens(batch: CutMixBatch,
                    rng: np.random.Generator) -> tuple[CutMixBatch, np.ndarray]:
-    """Permute token rows with a fresh uniform permutation per sample.
+    """Permute the token rows of a (batch, M, d) grid, a fresh uniform
+    permutation per sample.
 
     Returns the shuffled batch and the (batch, M) permutation array so the
     shuffle can be inverted (sample 0's permutation is drawn first).
     """
     grid = np.asarray(batch.tokens, dtype=np.float32)
-    single = grid.ndim == 2
-    if single:
-        grid = grid[None]
-    rows = grid.shape[-2]
-    perms = np.stack([rng.permutation(rows) for _ in range(grid.shape[0])])
+    perms = np.stack([rng.permutation(grid.shape[1]) for _ in range(grid.shape[0])])
     shuffled = np.stack([g[perm] for g, perm in zip(grid, perms)])
-    if single:
-        shuffled, perms = shuffled[0], perms[0:1]
     return CutMixBatch(tokens=shuffled, soft_label=batch.soft_label), perms
 
 

@@ -9,7 +9,6 @@ the first contributing client's raw image.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -53,9 +52,6 @@ class AttackReport:
     test_mse: float
     sample_count: int
     config: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

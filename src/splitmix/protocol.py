@@ -4,21 +4,21 @@ One training round runs, in order: group formation, sequence (mask)
 generation, client forward + cut, upload with payload metering, mixing,
 server forward/backward with one optimizer step per pass (one pass per
 group, or per member under ktimes), gradient download (unicast or
-broadcast), client backward + steps, optional federated averaging of the
-client segments.
+broadcast) with one message per client, client backward + step, optional
+federated averaging of the client segments.
 
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
 of its loss with respect to the mixed activations.  A client's graph ends
-at its smashed data, before activation noise and the cut, and the client
-backpropagates exactly the gradient it receives through it: its own rows
-under unicast, the whole mixed-grid gradient under broadcast.
+at its smashed data, before activation noise and the cut, and its step is
+``backward(smashed, received_gradient)``: the received gradient seeds the
+graph as is, its own rows under unicast, the whole mixed-grid gradient
+under broadcast.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,7 @@ from .mixing import (CutMixBatch, CutSmashed, CutoutMasker, add_gaussian_noise,
 from .model import ClientSegment, ModelConfig, ServerSegment, client_forward, server_forward
 from .optim import AdamW
 from .rng import RngHub
-from .tensor import Tensor, backward, cross_entropy, mul, sum_all
+from .tensor import Tensor, backward, cross_entropy
 
 HEADER_BYTES = 16
 FLOAT_BYTES = 4
@@ -86,8 +86,9 @@ def payload_meter(msg) -> int:
     """Size in bytes of one message on the wire.
 
     Uploads count only transmitted rows plus the label rows and a fixed
-    header; a mask rides along as a single 64-bit integer while M <= 64.
-    A client with a zero allocation transmits nothing at all.
+    header; a client with a zero allocation transmits nothing at all.
+    Gradients count the rows they carry plus the header.  A mask's size is
+    ``mask_nbytes``.
     """
     if isinstance(msg, UploadCutSmashed):
         act = activation_bytes(msg)
@@ -96,12 +97,6 @@ def payload_meter(msg) -> int:
         batch = msg.cut.tokens.shape[0]
         classes = msg.label.shape[-1]
         return act + HEADER_BYTES + classes * FLOAT_BYTES * batch
-    if isinstance(msg, SequenceAssignment):
-        return mask_nbytes(msg.mask.shape[0])
-    if isinstance(msg, ServerBatch):
-        batch, rows, dim = msg.cutmix.tokens.shape
-        classes = msg.cutmix.soft_label.shape[-1]
-        return rows * dim * FLOAT_BYTES * batch + classes * FLOAT_BYTES * batch + HEADER_BYTES
     if isinstance(msg, GradientDown):
         batch, _, dim = msg.grad.shape
         return msg.rows * dim * FLOAT_BYTES * batch + HEADER_BYTES
@@ -163,21 +158,16 @@ def route_gradients(group: MixGroup, grad_wrt_cutmix: np.ndarray,
     raise ContractError(f"unknown gradient mode {mode!r}")
 
 
-def fedavg_client_segments(segments: list[ClientSegment],
-                           weights: list[float] | None = None) -> ClientSegment:
-    """Elementwise (optionally weighted) mean of every client parameter."""
+def fedavg_client_segments(segments: list[ClientSegment]) -> ClientSegment:
+    """Elementwise mean of every client parameter, accumulated in float64."""
     if not segments:
         raise ContractError("fedavg over an empty segment list")
-    if weights is None:
-        weights = [1.0 / len(segments)] * len(segments)
-    else:
-        total = float(sum(weights))
-        weights = [w / total for w in weights]
+    w = 1.0 / len(segments)
     reference = segments[0].parameters()
     averaged: dict[str, np.ndarray] = {}
     for name, tensor in reference.items():
         acc = np.zeros_like(tensor.values, dtype=np.float64)
-        for seg, w in zip(segments, weights):
+        for seg in segments:
             other = seg.parameters()[name]
             if other.values.shape != tensor.values.shape:
                 raise DimensionError(
@@ -224,14 +214,12 @@ class RoundOptions:
 @dataclass
 class RoundMetrics:
     round_index: int
-    client_activation_bytes: dict[int, int]
     client_uplink_bytes: dict[int, int]
     total_uplink_bytes: int
     total_activation_bytes: int
     server_updates: int
     train_loss: float
     eval_accuracy: float | None = None
-    wall_time: float = 0.0
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -250,7 +238,6 @@ def run_round(clients: list[ClientState], server: ServerState,
               model_config: ModelConfig, options: RoundOptions, hub: RngHub,
               round_index: int, transcript=None) -> RoundMetrics:
     """Execute one synchronous training round and return its metrics."""
-    start = time.perf_counter()
     tokens = model_config.tokens
     num_classes = model_config.num_classes
     by_id = {c.client_id: c for c in clients}
@@ -264,7 +251,7 @@ def run_round(clients: list[ClientState], server: ServerState,
     member_lists = form_groups(list(by_id), options.k_way, hub.groups(round_index))
     groups = [MixGroup(gid, members) for gid, members in enumerate(member_lists)]
 
-    act_bytes = {cid: 0 for cid in by_id}
+    activation_total = 0
     uplink = {cid: 0 for cid in by_id}
     losses: list[float] = []
 
@@ -308,7 +295,7 @@ def run_round(clients: list[ClientState], server: ServerState,
                 label=label_rows)
             validate_upload(upload)
             uploads[member] = upload
-            act_bytes[member] = activation_bytes(upload)
+            activation_total += activation_bytes(upload)
             uplink[member] = payload_meter(upload)
             if transcript is not None:
                 transcript.upload(upload)
@@ -342,11 +329,13 @@ def run_round(clients: list[ClientState], server: ServerState,
 
     for group in groups:
         mixed, perms = assembled[group.group_id]
-        # Each pass runs the server once and steps it once.  ktimes makes one
-        # pass per member, whose gradient flows to that member alone, so the
-        # server updates n times per round.
-        passes = [[m] for m in group.members] if options.ktimes else [group.members]
-        for targets in passes:
+        # Each pass runs the server once, steps it once, and routes its
+        # gradient to the pass's members.  ktimes makes one pass per member,
+        # over that member's row of the group, so the server updates n times
+        # per round and each member receives one gradient.
+        passes = ([MixGroup(group.group_id, [m], mask_set=group.mask_set[i:i + 1])
+                   for i, m in enumerate(group.members)] if options.ktimes else [group])
+        for pass_group in passes:
             loss_value, grad_in = server_pass(mixed)
             server.optimizer.step()
             server.optimizer.zero_grads()
@@ -354,17 +343,16 @@ def run_round(clients: list[ClientState], server: ServerState,
                 transcript.server_step(group.group_id)
             if perms is not None:
                 grad_in = unshuffle_grid(grad_in, perms)
-            for down in route_gradients(group, grad_in, options.gradient_mode):
-                if down.target in targets:
-                    deliveries[down.target] = down
-                    if transcript is not None:
-                        transcript.gradient_down(down)
+            for down in route_gradients(pass_group, grad_in, options.gradient_mode):
+                deliveries[down.target] = down
+                if transcript is not None:
+                    transcript.gradient_down(down)
             losses.append(loss_value)
 
-    # --- clients: backward the received gradient through the smashed data -
+    # --- clients: seed the smashed data with the received gradient -------
     for cid, down in deliveries.items():
         state = by_id[cid]
-        backward(sum_all(mul(smashed_of[cid], Tensor(down.grad))))
+        backward(smashed_of[cid], down.grad)
         state.optimizer.step()
         state.optimizer.zero_grads()
         if transcript is not None:
@@ -379,13 +367,11 @@ def run_round(clients: list[ClientState], server: ServerState,
     total_uplink = int(sum(uplink.values()))
     metrics = RoundMetrics(
         round_index=round_index,
-        client_activation_bytes=act_bytes,
         client_uplink_bytes=uplink,
         total_uplink_bytes=total_uplink,
-        total_activation_bytes=int(sum(act_bytes.values())),
+        total_activation_bytes=activation_total,
         server_updates=len(losses),  # one step per server pass
-        train_loss=float(np.mean(losses)) if losses else float("nan"),
-        wall_time=time.perf_counter() - start)
+        train_loss=float(np.mean(losses)) if losses else float("nan"))
     if transcript is not None:
         transcript.round_end(round_index, total_uplink)
     return metrics

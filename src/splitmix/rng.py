@@ -71,6 +71,5 @@ class RngHub:
     allocations = partialmethod(_stream, STREAM_ALLOC)
     shuffles = partialmethod(_stream, STREAM_SHUFFLE)
     noise = partialmethod(_stream, STREAM_NOISE)
-    init = partialmethod(_stream, STREAM_INIT)
     groups = partialmethod(_stream, STREAM_GROUPS)
     data = partialmethod(_stream, STREAM_DATA)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import time
@@ -105,7 +106,7 @@ class TrainingSystem:
     def round_options(self, apply_fedavg: bool) -> RoundOptions:
         cfg = self.cfg
         return RoundOptions(
-            k_way=cfg.effective_k, alpha=cfg.alpha_value,
+            k_way=cfg.k_way, alpha=cfg.alpha_value,
             gradient_mode=cfg.gradient_mode, shuffle=cfg.shuffle,
             ktimes=cfg.method == "cutmixsl_ktimes",
             noise_x=cfg.noise_x, noise_y=cfg.noise_y,
@@ -274,7 +275,7 @@ def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) ->
         "config": cfg.to_dict(),
         "fractions": list(ATTACK_FRACTIONS),
         "mse": table,
-        "reports": [json.loads(r.to_json()) for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
     }
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "attack_report.json"), "w") as fh:

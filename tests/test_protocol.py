@@ -13,15 +13,15 @@ from splitmix.mixing import CutSmashed, generate_mask_set, sample_mixing_counts
 from splitmix.model import (ModelConfig, clone_client_segment, client_forward, init_parameters,
                             load_checkpoint, save_checkpoint, segments_to_named, server_forward)
 from splitmix.optim import AdamW
-from splitmix.protocol import (ClientState, MixGroup, RoundOptions,
-                               SequenceAssignment, ServerBatch, ServerState,
+from splitmix import protocol
+from splitmix.protocol import (ClientState, MixGroup, RoundOptions, ServerState,
                                UploadCutSmashed, activation_bytes,
-                               fedavg_client_segments, form_groups, one_hot,
+                               fedavg_client_segments, form_groups, mask_nbytes, one_hot,
                                payload_meter, route_gradients, run_round,
                                validate_upload)
 from splitmix.rng import RngHub
-from splitmix.tensor import Tensor, add, backward, cross_entropy, mul, sum_all, zero_grads
-from splitmix.transcript import TranscriptWriter, decode_mask, encode_mask, read_transcript
+from splitmix.tensor import Tensor, add, backward, cross_entropy, mul
+from splitmix.transcript import BinaryReader, TranscriptWriter, encode_mask, read_transcript
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                   depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
@@ -38,6 +38,11 @@ def build_system(n_clients, seed=0, config=CFG):
     server = ServerState(segment=server_segment,
                          optimizer=AdamW(server_segment.parameters(), lr=1e-3))
     return clients, server
+
+
+def clear_grads(tensors):
+    for t in tensors:
+        t.grad = None
 
 
 def build_batches(n_clients, batch=4, seed=0, config=CFG):
@@ -151,9 +156,9 @@ class TestPayloadMeter:
         assert payload_meter(self.make_upload(0)) == 0
 
     def test_sequence_assignment_is_one_integer(self):
-        assert payload_meter(SequenceAssignment(0, np.ones(16, np.uint8))) == 8
-        assert payload_meter(SequenceAssignment(0, np.ones(64, np.uint8))) == 8
-        assert payload_meter(SequenceAssignment(0, np.ones(200, np.uint8))) == 25
+        assert mask_nbytes(16) == 8
+        assert mask_nbytes(64) == 8
+        assert mask_nbytes(200) == 25
 
     def test_upload_invariant_enforced(self):
         msg = self.make_upload(8)
@@ -181,6 +186,22 @@ class TestRunRound:
         metrics = self.run(10, RoundOptions(k_way=2, alpha=6.0, ktimes=True))
         assert metrics.server_updates == 10
 
+    @pytest.mark.parametrize("mode", ["unicast", "broadcast"])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_ktimes_routes_one_message_per_client(self, monkeypatch, mode, k):
+        # What route_gradients returns is what goes down the wire.
+        routed = []
+        original = protocol.route_gradients
+
+        def counting(*args):
+            downs = original(*args)
+            routed.append(len(downs))
+            return downs
+
+        monkeypatch.setattr(protocol, "route_gradients", counting)
+        self.run(8, RoundOptions(k_way=k, alpha=6.0, gradient_mode=mode, ktimes=True))
+        assert routed == [1] * 8
+
     def test_plain_sl_steps_n_times(self):
         metrics = self.run(10, RoundOptions(k_way=1))
         assert metrics.server_updates == 10
@@ -188,7 +209,10 @@ class TestRunRound:
     def test_uplink_conservation(self):
         metrics = self.run(6, RoundOptions(k_way=3, alpha=6.0))
         assert metrics.total_uplink_bytes == sum(metrics.client_uplink_bytes.values())
-        assert metrics.total_activation_bytes == sum(metrics.client_activation_bytes.values())
+        # Each client that sends anything adds a header and its 4 x 4 label rows.
+        senders = sum(b > 0 for b in metrics.client_uplink_bytes.values())
+        overhead = metrics.total_uplink_bytes - metrics.total_activation_bytes
+        assert overhead == senders * (16 + 4 * 4 * 4)
 
     def test_unequal_batches_rejected(self):
         clients, server = build_system(2)
@@ -260,12 +284,12 @@ class TestGradientModes:
             downs = route_gradients(group, inputs.grad, mode)
             for cid, down in enumerate(downs):
                 carrier = smashed[cid] if mode == "broadcast" else cuts[cid]
-                backward(sum_all(mul(carrier, Tensor(down.grad))))
+                backward(carrier, down.grad)
                 grads[(mode, cid)] = {k: t.grad.copy() for k, t
                                       in segments[cid].parameters().items()
                                       if t.requires_grad}
-                zero_grads(segments[cid].parameters().values())
-            zero_grads(server_segment.parameters().values())
+                clear_grads(segments[cid].parameters().values())
+            clear_grads(server_segment.parameters().values())
         for cid in range(2):
             assert grads[("unicast", cid)]
             for key in grads[("unicast", cid)]:
@@ -293,9 +317,9 @@ class TestGradientModes:
             group = MixGroup(0, [0, 1], np.array([2, 2]), masks)
             down = route_gradients(group, inputs.grad, mode)[0]
             carrier = s if mode == "broadcast" else cut_t
-            backward(sum_all(mul(carrier, Tensor(down.grad))))
+            backward(carrier, down.grad)
             norms[mode] = float(np.linalg.norm(segment.patch_weight.grad))
-            zero_grads(server.segment.parameters().values())
+            clear_grads(server.segment.parameters().values())
         print(f"unicast vs broadcast client-grad norms: {norms}")
         assert norms["unicast"] > 0 and norms["broadcast"] > 0
 
@@ -334,7 +358,7 @@ class TestClientStep:
             noisy = add(smashed, Tensor(noise.astype(np.float32)))
             grid = np.repeat(masks[cid][:, None].astype(np.float32), CFG.embed_dim, axis=1)
             carrier = noisy if downs[cid]["broadcast"] else mul(noisy, Tensor(grid))
-            backward(sum_all(mul(carrier, Tensor(downs[cid]["grad"]))))
+            backward(carrier, downs[cid]["grad"])
             state.optimizer.step()
             trained = clients[cid].segment.parameters()
             for name, tensor in state.segment.parameters().items():
@@ -423,17 +447,17 @@ class TestTranscript:
             for mask in ((rng.random(length) < 0.5).astype(np.uint8),
                          np.ones(length, dtype=np.uint8)):
                 blob = encode_mask(mask)
-                assert len(blob) == payload_meter(SequenceAssignment(0, mask))
+                assert len(blob) == mask_nbytes(length)
                 if length <= 64:
                     word = sum(int(bit) << j for j, bit in enumerate(mask))
                     assert blob == struct.pack("<Q", word)
                 else:
                     assert len(blob) == math.ceil(length / 8)
-                decoded = decode_mask(blob, length)
+                decoded = BinaryReader(blob, "mask").mask(length, "mask")
                 assert decoded.dtype == np.uint8
                 assert np.array_equal(decoded, mask)
         with pytest.raises(IngestionError):
-            decode_mask(bytes(7), 64)
+            BinaryReader(bytes(7), "mask").mask(64, "mask")
 
     def test_identical_runs_identical_transcripts(self, tmp_path):
         blobs = []

@@ -8,10 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitmix.errors import ContractError, DimensionError
+from splitmix.optim import AdamW
 from splitmix.tensor import (Tensor, add, backward, concat, cross_entropy,
                              expand_batch, gelu, layer_norm, linear, matmul, mean,
-                             mul, reshape, scale, slice_rows, softmax, sum_all,
-                             transpose, zero_grads)
+                             mul, reshape, scale, slice_rows, softmax, transpose)
 
 from oracles import central_difference, ref_cross_entropy, ref_gelu, ref_layer_norm, ref_softmax
 
@@ -73,23 +73,24 @@ class TestBackward:
             backward(add(w, w))
 
     def test_sum_gives_ones(self):
+        # A seed of ones is the gradient of the root's sum.
         w = Tensor(rand((3, 4)), requires_grad=True)
-        backward(sum_all(w))
+        backward(reshape(w, (12,)), np.ones(12, dtype=np.float32))
         assert np.array_equal(w.grad, np.ones((3, 4), dtype=np.float32))
 
     def test_half_square_norm_gives_w(self):
         w = Tensor(rand((5,), seed=3), requires_grad=True)
-        backward(scale(sum_all(mul(w, w)), 0.5))
+        backward(mul(w, w), np.full(5, 0.5, dtype=np.float32))
         assert np.allclose(w.grad, w.values, atol=1e-6)
 
     def test_accumulation_across_backward_calls(self):
         w = Tensor(rand((2, 2)), requires_grad=True)
-        loss = sum_all(w)
+        loss = mean(w)
         backward(loss)
         first = w.grad.copy()
         backward(loss)
         assert np.allclose(w.grad, 2 * first)
-        zero_grads([w])
+        AdamW({"w": w}).zero_grads()
         assert w.grad is None
 
     def test_grads_stored_on_leaves_only(self):
@@ -97,7 +98,7 @@ class TestBackward:
         x = Tensor(rand((2, 3), seed=1))
         hidden = matmul(x, w)
         act = gelu(hidden)
-        loss = sum_all(act)
+        loss = mean(act)
         backward(loss)
         assert hidden.grad is None and act.grad is None and loss.grad is None
         assert x.grad is None
@@ -105,6 +106,45 @@ class TestBackward:
         backward(loss)
         assert np.array_equal(w.grad, first + first)
         assert hidden.grad is None and act.grad is None
+
+    def test_seeded_client_graph_matches_finite_differences(self):
+        # A client's step: linear patch embedding plus a positional table,
+        # seeded with an upstream gradient at the (batch, M, d) output.
+        rng = np.random.default_rng(13)
+        x64 = rng.normal(0, 1, size=(2, 3, 5))
+        params64 = {"w": rng.normal(0, 0.5, size=(4, 5)), "b": rng.normal(0, 0.1, size=(4,)),
+                    "pos": rng.normal(0, 0.1, size=(3, 4))}
+        upstream = rng.normal(0, 1, size=(2, 3, 4))
+
+        def ref_loss():
+            out = x64 @ params64["w"].T + params64["b"] + params64["pos"]
+            return (out * upstream).sum()
+
+        expected = central_difference(ref_loss, params64, h=1e-3)
+        tensors = {k: Tensor(v.astype(np.float32), requires_grad=True)
+                   for k, v in params64.items()}
+        smashed = add(linear(Tensor(x64.astype(np.float32)), tensors["w"], tensors["b"]),
+                      tensors["pos"])
+        backward(smashed, upstream.astype(np.float32))
+        for name, tensor in tensors.items():
+            assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
+
+    def test_seed_of_the_wrong_shape_rejected(self):
+        w = Tensor(rand((3, 4)), requires_grad=True)
+        for seed in (np.ones((4, 3), np.float32), np.ones(12, np.float32),
+                     np.ones((), np.float32)):
+            with pytest.raises(DimensionError):
+                backward(scale(w, 2.0), seed)
+        with pytest.raises(DimensionError):
+            backward(mean(w), np.ones(1, np.float32))
+        assert w.grad is None
+
+    def test_root_without_grad_is_a_no_op(self):
+        x = Tensor(rand((3, 4)))
+        y = gelu(x)
+        backward(y, np.ones((3, 4), np.float32))
+        backward(mean(y))
+        assert x.grad is None and y.grad is None
 
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -126,9 +166,9 @@ class TestBackward:
 
         tensors = {k: Tensor(v.astype(np.float32), requires_grad=True)
                    for k, v in params64.items()}
-        h = gelu(add(matmul(Tensor(x64.astype(np.float32)), transpose(tensors["w1"])),
+        h = gelu(add(matmul(Tensor(x64.astype(np.float32)), transpose(tensors["w1"], (1, 0))),
                      tensors["b1"]))
-        logits = add(matmul(h, transpose(tensors["w2"])), tensors["b2"])
+        logits = add(matmul(h, transpose(tensors["w2"], (1, 0))), tensors["b2"])
         backward(cross_entropy(logits, Tensor(labels.astype(np.float32))))
         for name, tensor in tensors.items():
             assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
@@ -140,7 +180,7 @@ def test_linear_matches_composite_bit_for_bit(lead):
     x0 = rng.normal(size=lead + (6,)).astype(np.float32)
     w0 = rng.normal(size=(4, 6)).astype(np.float32)
     b0 = rng.normal(size=(4,)).astype(np.float32)
-    upstream = Tensor(rng.normal(size=lead + (4,)).astype(np.float32))
+    upstream = rng.normal(size=lead + (4,)).astype(np.float32)
     rows = int(np.prod(lead))
 
     def run(fused):
@@ -148,9 +188,9 @@ def test_linear_matches_composite_bit_for_bit(lead):
         if fused:
             y = linear(x, w, b)
         else:
-            y = add(matmul(reshape(x, (rows, 6)), transpose(w)), b)
+            y = add(matmul(reshape(x, (rows, 6)), transpose(w, (1, 0))), b)
             y = reshape(y, lead + (4,))
-        backward(sum_all(mul(y, upstream)))
+        backward(y, upstream)
         return y.values, x.grad, w.grad, b.grad
 
     for name, got, want in zip(("values", "x.grad", "w.grad", "b.grad"), run(True), run(False)):
@@ -166,11 +206,14 @@ def test_linear_rejects_mismatched_shapes():
         linear(Tensor(np.zeros((2, 6), np.float32)), w, Tensor(np.zeros(6, np.float32)))
 
 
+LN_GAIN = np.linspace(0.5, 1.5, 4, dtype=np.float32)
+LN_BIAS = np.linspace(-0.2, 0.2, 4, dtype=np.float32)
+
 OPS = {
     "gelu": (lambda t: gelu(t), (3, 4)),
     "softmax": (lambda t: softmax(t), (3, 4)),
-    "layer_norm": (lambda t: layer_norm(t), (3, 4)),
-    "transpose": (lambda t: transpose(t), (3, 4)),
+    "layer_norm": (lambda t: layer_norm(t, Tensor(LN_GAIN), Tensor(LN_BIAS)), (3, 4)),
+    "transpose": (lambda t: transpose(t, (1, 0)), (3, 4)),
     "reshape": (lambda t: reshape(t, (4, 3)), (3, 4)),
     "slice_rows": (lambda t: slice_rows(t, 1, 3), (4, 5)),
     "mean": (lambda t: mean(t), (3, 4)),
@@ -180,7 +223,7 @@ OPS = {
 REF_OPS = {
     "gelu": lambda x: ref_gelu(x),
     "softmax": lambda x: ref_softmax(x),
-    "layer_norm": lambda x: ref_layer_norm(x),
+    "layer_norm": lambda x: ref_layer_norm(x, LN_GAIN, LN_BIAS),
     "transpose": lambda x: np.swapaxes(x, -1, -2),
     "reshape": lambda x: x.reshape(4, 3),
     "slice_rows": lambda x: x[..., 1:3, :],
@@ -203,7 +246,7 @@ def test_op_gradient_matches_finite_differences(name):
 
     expected = central_difference(ref_loss, arrays, h=1e-3)["x"]
     t = Tensor(x64.astype(np.float32), requires_grad=True)
-    backward(sum_all(mul(op(t), Tensor(weights.astype(np.float32)))))
+    backward(op(t), np.asarray(weights, dtype=np.float32))
     assert np.allclose(t.grad, expected, rtol=1e-2, atol=1e-4)
 
 
@@ -228,7 +271,7 @@ def test_binary_op_gradients_match_finite_differences():
         expected = central_difference(ref_loss, arrays, h=1e-3)
         ta = Tensor(a64.astype(np.float32), requires_grad=True)
         tb = Tensor(b64.astype(np.float32), requires_grad=True)
-        backward(sum_all(mul(op(ta, tb), Tensor(weights.astype(np.float32)))))
+        backward(op(ta, tb), weights.astype(np.float32))
         assert np.allclose(ta.grad, expected["a"], rtol=1e-2, atol=1e-4), name
         assert np.allclose(tb.grad, expected["b"], rtol=1e-2, atol=1e-4), name
 
@@ -238,7 +281,7 @@ def test_matmul_sum_gradient_closed_form():
     rng = np.random.default_rng(5)
     a = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
-    backward(sum_all(matmul(a, b)))
+    backward(matmul(a, b), np.ones((3, 2), dtype=np.float32))
     closed = np.ones((3, 2), dtype=np.float32) @ b.values.T
     assert np.allclose(a.grad, closed, rtol=1e-5, atol=1e-6)
 
@@ -259,6 +302,7 @@ def test_layer_norm_row_statistics(rows, cols, seed):
     # The eps inside the sqrt biases variance by eps/var; keep rows away
     # from the degenerate near-constant case the tolerance is not about.
     assume(raw.var(axis=-1).min() > 0.25)
-    out = layer_norm(Tensor(raw.astype(np.float32))).values.astype(np.float64)
+    affine = Tensor(np.ones(cols, np.float32)), Tensor(np.zeros(cols, np.float32))
+    out = layer_norm(Tensor(raw.astype(np.float32)), *affine).values.astype(np.float64)
     assert np.abs(out.mean(axis=-1)).max() < 1e-5
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
