@@ -124,12 +124,14 @@ class ExperimentConfig:
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("noise_x", "noise_y", "warmup_epochs", "cifar_subset", "weight_decay",
-                     "attack_decoder_depth"):
+                     "attack_decoder_depth", "synthetic_noise", "synthetic_jitter",
+                     "synthetic_mosaic"):
             if not getattr(self, name) >= 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("lr", "attack_lr", "dirichlet_mu", "attack_alpha"):
-            if not getattr(self, name) > 0:
-                raise ContractError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("lr", "attack_lr", "dirichlet_mu", "attack_alpha", "synthetic_radius"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ContractError(f"{name} must be > 0, got {value}")
         if not self.alpha_value > 0:
             raise ContractError(f"alpha must be > 0 or inf, got {self.alpha!r}")
         for name in ("keep_ratio", "attack_keep_ratio"):
@@ -144,6 +146,9 @@ class ExperimentConfig:
             raise ContractError(f"{self.method} does not mix activations; k_way must be 1")
         if self.method in MIXING_METHODS and self.k_way < 2:
             raise ContractError(f"{self.method} requires k_way >= 2")
+        if self.dataset == "synthetic" and self.synthetic_samples < self.n_clients:
+            raise ContractError(f"synthetic_samples {self.synthetic_samples} cannot be split "
+                                f"across n_clients {self.n_clients}")
         if self.k_way > self.n_clients:
             raise ContractError(f"k_way {self.k_way} exceeds n_clients {self.n_clients}: "
                                 f"a group cannot mix more clients than there are")

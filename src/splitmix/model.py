@@ -9,15 +9,14 @@ masks and mixing always operate over exactly the patch-token rows.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Tensor, add, concat, expand_batch, gelu, layer_norm, linear,
-                     matmul, reshape, scale, slice_rows, softmax, transpose)
+from .tensor import (Tensor, add, attention, concat, expand_batch, gelu, layer_norm, linear,
+                     reshape, slice_rows)
 
 
 @dataclass(frozen=True)
@@ -197,25 +196,6 @@ def client_forward(segment: ClientSegment, images: np.ndarray,
     return add(tokens, segment.pos_embed)
 
 
-def _split_heads(x: Tensor, batch: int, rows: int, heads: int, head_dim: int) -> Tensor:
-    return transpose(reshape(x, (batch, rows, heads, head_dim)), (0, 2, 1, 3))
-
-
-def _attention(x: Tensor, blk: BlockParams, config: ModelConfig, batch: int,
-               rows: int) -> Tensor:
-    d = config.embed_dim
-    heads = config.heads
-    head_dim = d // heads
-    q = _split_heads(linear(x, blk.q_weight, blk.q_bias), batch, rows, heads, head_dim)
-    k = _split_heads(linear(x, blk.k_weight, blk.k_bias), batch, rows, heads, head_dim)
-    v = _split_heads(linear(x, blk.v_weight, blk.v_bias), batch, rows, heads, head_dim)
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-    weights = softmax(scores, axis=-1)
-    context = matmul(weights, v)
-    merged = reshape(transpose(context, (0, 2, 1, 3)), (batch, rows, d))
-    return linear(merged, blk.out_weight, blk.out_bias)
-
-
 def server_forward(segment: ServerSegment, tokens: Tensor,
                    config: ModelConfig) -> Tensor:
     """Prepend class token, run pre-norm blocks, norm the class row, apply head."""
@@ -223,12 +203,12 @@ def server_forward(segment: ServerSegment, tokens: Tensor,
         raise DimensionError(
             f"tokens must be (batch, {config.tokens}, {config.embed_dim}), got {tokens.shape}")
     batch = tokens.shape[0]
-    rows = config.tokens + 1
     cls = expand_batch(segment.class_token, batch)
     x = concat([cls, tokens], axis=1)
     for blk in segment.blocks:
-        attended = _attention(layer_norm(x, blk.ln1_gain, blk.ln1_bias), blk, config, batch, rows)
-        x = add(x, attended)
+        h = attention(layer_norm(x, blk.ln1_gain, blk.ln1_bias), blk.q_weight, blk.q_bias,
+                      blk.k_weight, blk.k_bias, blk.v_weight, blk.v_bias, config.heads)
+        x = add(x, linear(h, blk.out_weight, blk.out_bias))
         h = linear(layer_norm(x, blk.ln2_gain, blk.ln2_bias), blk.fc1_weight, blk.fc1_bias)
         h = linear(gelu(h), blk.fc2_weight, blk.fc2_bias)
         x = add(x, h)

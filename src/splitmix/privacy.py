@@ -19,7 +19,7 @@ from .mixing import generate_mask_set, keep_count, manifold_mixup, sample_mixing
 from .model import ClientSegment, ModelConfig, client_forward
 from .optim import AdamW
 from .rng import STREAM_ATTACK, stream_generator
-from .tensor import Tensor, add, backward, gelu, linear, mean, mul, scale
+from .tensor import Tensor, add, backward, gelu, linear, mean, mul, no_grad, scale
 
 REPRESENTATIONS = ("smashed", "cutsmashed", "mixup", "patch_cutmix", "shuffled_cutmix")
 
@@ -72,7 +72,8 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
     targets = dataset.images.reshape(n, -1).astype(np.float32)
     if name == "raw":
         return targets.copy(), targets
-    smashed = client_forward(snapshot.client_segment, dataset.images, mc).values
+    with no_grad():
+        smashed = client_forward(snapshot.client_segment, dataset.images, mc).values
     tokens = mc.tokens
     if name == "smashed":
         feats = smashed
@@ -176,7 +177,8 @@ def run_attack(config: AttackConfig, snapshot: Snapshot) -> AttackReport:
             opt.step()
             opt.zero_grads()
 
-    pred = decoder.forward(Tensor(features[test_idx])).values
+    with no_grad():
+        pred = decoder.forward(Tensor(features[test_idx])).values
     test_mse = float(np.mean((pred - targets[test_idx]) ** 2))
     return AttackReport(representation=config.representation, test_mse=test_mse,
                         sample_count=int(train_idx.size), config=asdict(config))

@@ -22,6 +22,7 @@ from .privacy import (REPRESENTATIONS, AttackConfig, AttackReport, Snapshot,
 from .protocol import (ClientState, RoundMetrics, RoundOptions, ServerState,
                        fedavg_client_segments, run_round)
 from .rng import RngHub
+from .tensor import no_grad
 from .transcript import TranscriptWriter
 
 CSV_SCHEMA = "splitmix-metrics-v1"
@@ -116,12 +117,13 @@ class TrainingSystem:
 def _forward_accuracy(segment, server, dataset: Dataset, model_cfg: ModelConfig,
                       chunk: int = 256) -> float:
     correct = 0
-    for start in range(0, len(dataset), chunk):
-        images = dataset.images[start:start + chunk]
-        labels = dataset.labels[start:start + chunk]
-        tokens = client_forward(segment, images, model_cfg)
-        logits = server_forward(server.segment, tokens, model_cfg)
-        correct += int((logits.values.argmax(axis=1) == labels).sum())
+    with no_grad():
+        for start in range(0, len(dataset), chunk):
+            images = dataset.images[start:start + chunk]
+            labels = dataset.labels[start:start + chunk]
+            tokens = client_forward(segment, images, model_cfg)
+            logits = server_forward(server.segment, tokens, model_cfg)
+            correct += int((logits.values.argmax(axis=1) == labels).sum())
     return correct / max(1, len(dataset))
 
 

@@ -6,6 +6,8 @@ output gradient to input gradients.  ``backward`` topologically sorts the
 recorded graph from the loss and visits each node exactly once in reverse
 order.  Gradients are stored on leaves only (tensors created directly, with
 no recorded backward); intermediate nodes pass theirs on and keep none.
+Inside ``with no_grad():`` nothing is recorded, so a forward that is never
+backpropagated frees each temporary as soon as the next operation has read it.
 
 Contracts:
   * all values and gradients are float32;
@@ -58,9 +60,30 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_recording = True
+
+
+class no_grad:
+    """Context in which operations record no graph.
+
+    Outputs made inside have ``requires_grad`` false and keep neither
+    parents nor a backward closure.  The previous state returns on exit,
+    also when the block raises.
+    """
+
+    def __enter__(self) -> None:
+        global _recording
+        self._previous, _recording = _recording, False
+
+    def __exit__(self, *exc) -> bool:
+        global _recording
+        _recording = self._previous
+        return False
+
+
 def _node(values: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(values)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -167,22 +190,6 @@ def scale(a, factor: float) -> Tensor:
     return _node(a.values * factor, (a,), lambda g: (g * factor,))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul requires at least 2-d operands")
-    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
-        raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dims {a.shape[-1]} and {b.shape[-2]} disagree")
-    out = a.values @ b.values
-
-    def bwd(g):
-        return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
-
-    return _node(out, (a, b), bwd)
-
-
 def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight.T + bias`` over the last axis of ``(..., in)`` tokens.
 
@@ -210,17 +217,39 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """GELU via the tanh approximation (differentiable everywhere)."""
+    """GELU via the tanh approximation (differentiable everywhere).
+
+    Temporaries are written in place, in the order of the textbook
+    expressions: at server-batch sizes each fresh array would be larger
+    than glibc's mmap threshold, so the allocator would map and unmap it on
+    every call.
+    """
     a = _as_tensor(a)
     x = a.values
-    inner = _GELU_K * (x + _GELU_C * x * x * x)
-    t = np.tanh(inner)
-    out = (0.5 * x * (1.0 + t)).astype(np.float32)
+    t = _GELU_C * x  # becomes tanh(k * (x + c x^3))
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
 
     def bwd(g):
-        d_inner = _GELU_K * (1.0 + 3.0 * _GELU_C * x * x)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        return (g * local,)
+        # 0.5 (1 + t) + 0.5 x (1 - t^2) k (1 + 3 c x^2), multiplied by g
+        tail = t * t
+        np.subtract(1.0, tail, out=tail)
+        tail *= 0.5 * x
+        local = (3.0 * _GELU_C) * x
+        local *= x
+        local += 1.0
+        local *= _GELU_K
+        tail *= local
+        np.add(t, 1.0, out=local)
+        local *= 0.5
+        local += tail
+        local *= g
+        return (local,)
 
     return _node(out, (a,), bwd)
 
@@ -257,29 +286,63 @@ def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     return _node(normed * gain.values + bias.values, (a, gain, bias), bwd)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    if a.ndim == 0 or a.shape[axis] == 0:
-        raise DimensionError("softmax over an empty axis")
-    x = a.values
-    shifted = x - x.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out = (ex / ex.sum(axis=axis, keepdims=True)).astype(np.float32)
+def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Tensor,
+              v_weight: Tensor, v_bias: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention over ``(batch, rows, dim)`` tokens, before
+    the out projection.
+
+    One node stands for the chain of q/k/v ``linear``s, head split, scaled
+    ``q @ k^T``, softmax, ``@ v`` and head merge.  It evaluates that chain's
+    numpy expressions in the chain's order, with the softmax temporaries
+    written in place, so values and all seven gradients match it bit for bit.
+    """
+    x = _as_tensor(x)
+    if x.ndim != 3:
+        raise DimensionError(f"attention expects (batch, rows, dim) tokens, got {x.shape}")
+    batch, rows, dim = x.shape
+    if heads < 1 or dim % heads:
+        raise DimensionError(f"attention: {heads} heads do not divide dim {dim}")
+    for weight, bias in ((q_weight, q_bias), (k_weight, k_bias), (v_weight, v_bias)):
+        if weight.shape != (dim, dim) or bias.shape != (dim,):
+            raise DimensionError(f"attention: weight {weight.shape} and bias {bias.shape} "
+                                 f"are not ({dim}, {dim}) and ({dim},)")
+    head_dim = dim // heads
+    factor = 1.0 / math.sqrt(head_dim)
+    split = (batch, rows, heads, head_dim)
+    flat = x.values.reshape(-1, dim)
+
+    def project(weight, bias):
+        return np.transpose((flat @ weight.values.T + bias.values).reshape(split), (0, 2, 1, 3))
+
+    q, k, v = project(q_weight, q_bias), project(k_weight, k_bias), project(v_weight, v_bias)
+    k_t = np.transpose(k, (0, 1, 3, 2))
+    weights = q @ k_t
+    weights *= factor
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    merged = np.transpose(weights @ v, (0, 2, 1, 3)).reshape(batch, rows, dim)
 
     def bwd(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - inner) * out,)
+        g_context = np.transpose(g.reshape(split), (0, 2, 1, 3))
+        g_scores = g_context @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(weights, -1, -2) @ g_context
+        inner = (g_scores * weights).sum(axis=-1, keepdims=True)
+        g_scores -= inner
+        g_scores *= weights
+        g_scores *= factor
+        g_q = g_scores @ np.swapaxes(k_t, -1, -2)
+        g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, (0, 1, 3, 2))
+        gx, grads = None, []
+        for gh, weight in ((g_q, q_weight), (g_k, k_weight), (g_v, v_weight)):
+            gh = np.transpose(gh, (0, 2, 1, 3)).reshape(-1, dim)
+            if x.requires_grad:  # summed as (q + k) + v, the chain's order
+                part = (gh @ weight.values).reshape(x.shape)
+                gx = part if gx is None else gx + part
+            grads += [(flat.T @ gh).T, gh.sum(axis=0)]
+        return (gx, *grads)
 
-    return _node(out, (a,), bwd)
-
-
-def transpose(a, axes: tuple[int, ...]) -> Tensor:
-    a = _as_tensor(a)
-    if sorted(axes) != list(range(a.ndim)):
-        raise DimensionError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
-    inverse = np.argsort(axes)
-    out = np.transpose(a.values, axes)
-    return _node(out, (a,), lambda g: (np.transpose(g, inverse),))
+    return _node(merged, (x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias), bwd)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:

@@ -1,0 +1,91 @@
+"""The composite ops that fused nodes replace, kept as references.
+
+``matmul``, ``softmax`` and ``transpose`` are the engine's former ops,
+unchanged; ``attention`` is the chain the model ran before
+``tensor.attention`` became one node, and ``gelu`` the engine's GELU
+before it wrote its temporaries in place.  The engine's ops are held to
+these bit for bit, in values and in gradients.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from splitmix.errors import DimensionError
+from splitmix.tensor import _GELU_C, _GELU_K, Tensor, _as_tensor, _node, linear, reshape, scale
+
+
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError("matmul requires at least 2-d operands")
+    if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
+        raise DimensionError(f"matmul: batch dims differ, {a.shape} vs {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul: inner dims {a.shape[-1]} and {b.shape[-2]} disagree")
+    out = a.values @ b.values
+
+    def bwd(g):
+        return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
+
+    return _node(out, (a, b), bwd)
+
+
+def softmax(a, axis: int = -1) -> Tensor:
+    a = _as_tensor(a)
+    if a.ndim == 0 or a.shape[axis] == 0:
+        raise DimensionError("softmax over an empty axis")
+    x = a.values
+    shifted = x - x.max(axis=axis, keepdims=True)
+    ex = np.exp(shifted)
+    out = (ex / ex.sum(axis=axis, keepdims=True)).astype(np.float32)
+
+    def bwd(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - inner) * out,)
+
+    return _node(out, (a,), bwd)
+
+
+def transpose(a, axes: tuple[int, ...]) -> Tensor:
+    a = _as_tensor(a)
+    if sorted(axes) != list(range(a.ndim)):
+        raise DimensionError(f"transpose: {axes} is not a permutation of {a.ndim} axes")
+    inverse = np.argsort(axes)
+    out = np.transpose(a.values, axes)
+    return _node(out, (a,), lambda g: (np.transpose(g, inverse),))
+
+
+def gelu(a) -> Tensor:
+    """GELU via the tanh approximation (differentiable everywhere)."""
+    a = _as_tensor(a)
+    x = a.values
+    inner = _GELU_K * (x + _GELU_C * x * x * x)
+    t = np.tanh(inner)
+    out = (0.5 * x * (1.0 + t)).astype(np.float32)
+
+    def bwd(g):
+        d_inner = _GELU_K * (1.0 + 3.0 * _GELU_C * x * x)
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+        return (g * local,)
+
+    return _node(out, (a,), bwd)
+
+
+def _split_heads(x: Tensor, batch: int, rows: int, heads: int, head_dim: int) -> Tensor:
+    return transpose(reshape(x, (batch, rows, heads, head_dim)), (0, 2, 1, 3))
+
+
+def attention(x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias, heads):
+    """The model's former attention chain, up to the out projection."""
+    batch, rows, d = x.shape
+    head_dim = d // heads
+    q = _split_heads(linear(x, q_weight, q_bias), batch, rows, heads, head_dim)
+    k = _split_heads(linear(x, k_weight, k_bias), batch, rows, heads, head_dim)
+    v = _split_heads(linear(x, v_weight, v_bias), batch, rows, heads, head_dim)
+    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
+    weights = softmax(scores, axis=-1)
+    context = matmul(weights, v)
+    return reshape(transpose(context, (0, 2, 1, 3)), (batch, rows, d))

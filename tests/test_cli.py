@@ -124,7 +124,11 @@ class TestCliParsing:
                       ["--attack-alpha", "0"], ["--attack-keep-ratio", "2"],
                       ["--partition", "dirichlet", "--dirichlet-mu", "0"],
                       ["--attack-lr", "-1"], ["--attack-decoder-depth", "-1"],
-                      ["--weight-decay", "-1"]):
+                      ["--weight-decay", "-1"],
+                      ["--synthetic-noise", "-0.1"], ["--synthetic-jitter", "-1"],
+                      ["--synthetic-mosaic", "-0.2"], ["--synthetic-radius", "0"],
+                      ["--synthetic-radius", "-2"], ["--synthetic-samples", "0"],
+                      ["--n-clients", "4", "--synthetic-samples", "3"]):
             field = flags[-2][2:].replace("-", "_")
             code = main(["train", *flags])
             assert code == 2

@@ -1,14 +1,21 @@
 """Split ViT contracts: shapes, init, equivariances, gradients, checkpoints."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from splitmix import model
+from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, DimensionError
-from splitmix.model import (ModelConfig, client_forward, init_parameters,
+from splitmix.model import (PROFILES, ModelConfig, client_forward, init_parameters,
                             load_checkpoint, named_to_segments, save_checkpoint,
                             segments_to_named, server_forward)
+from splitmix.runner import _forward_accuracy
 from splitmix.tensor import Tensor, backward, cross_entropy
 
+import composite
 from oracles import (central_difference, named_values, ref_client_forward,
                      ref_cross_entropy, ref_server_forward)
 
@@ -143,6 +150,45 @@ def test_end_to_end_gradients_match_finite_differences():
         assert np.allclose(tensor.grad, expected[f"c.{key}"], rtol=2e-2, atol=1e-4), key
     for key, tensor in server.parameters().items():
         assert np.allclose(tensor.grad, expected[f"s.{key}"], rtol=2e-2, atol=1e-4), key
+
+
+def test_server_pass_matches_composite_attention_bit_for_bit(monkeypatch):
+    # The whole server pass, loss and every gradient, against the same pass
+    # with attention run as the chain of small ops it replaced.
+    cfg = PROFILES["desk"]
+    rng = np.random.default_rng(4)
+    tokens0 = rng.normal(size=(4, cfg.tokens, cfg.embed_dim)).astype(np.float32)
+    labels = np.eye(cfg.num_classes, dtype=np.float32)[[0, 3, 3, 7]]
+
+    def run():
+        _, server = init_parameters(cfg, seed=2)
+        tokens = Tensor(tokens0, requires_grad=True)
+        loss = cross_entropy(server_forward(server, tokens, cfg), Tensor(labels))
+        backward(loss)
+        return {"loss": loss.values, "tokens": tokens.grad,
+                **{k: t.grad for k, t in server.parameters().items()}}
+
+    fused = run()
+    monkeypatch.setattr(model, "attention", composite.attention)
+    chain = run()
+    for key in fused:
+        assert np.array_equal(fused[key], chain[key]), key
+
+
+def test_evaluation_builds_no_graph():
+    # With a graph, two 256-image chunks of it are alive at once (68 MB).
+    cfg = PROFILES["desk"]
+    client, server = init_parameters(cfg, seed=0)
+    data = make_synthetic(512, cfg.num_classes, cfg.image_size, seed=0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _forward_accuracy(client, SimpleNamespace(segment=server), data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20
+    assert all(t.grad is None for t in {**client.parameters(), **server.parameters()}.values())
 
 
 def test_client_forward_is_affine_in_image():

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from splitmix.errors import ContractError, DimensionError
 from splitmix.optim import AdamW
-from splitmix.tensor import (Tensor, add, backward, concat, cross_entropy,
-                             expand_batch, gelu, layer_norm, linear, matmul, mean,
-                             mul, reshape, scale, slice_rows, softmax, transpose)
+from splitmix.tensor import (Tensor, add, attention, backward, concat, cross_entropy,
+                             expand_batch, gelu, layer_norm, linear, mean, mul, no_grad,
+                             reshape, scale, slice_rows)
 
-from oracles import central_difference, ref_cross_entropy, ref_gelu, ref_layer_norm, ref_softmax
+import composite
+from composite import matmul, softmax, transpose
+from oracles import (_ref_attention, central_difference, ref_cross_entropy, ref_gelu,
+                     ref_layer_norm, ref_softmax)
 
 
 def rand(shape, seed=0, scale_=1.0):
@@ -196,6 +199,115 @@ def test_linear_matches_composite_bit_for_bit(lead):
     for name, got, want in zip(("values", "x.grad", "w.grad", "b.grad"), run(True), run(False)):
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+ATTENTION_PARAMS = ("q_weight", "q_bias", "k_weight", "k_bias", "v_weight", "v_bias")
+
+
+def _attention_inputs(batch, rows=5, dim=8, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(batch, rows, dim))
+    params = {name: rng.normal(0, 0.4, size=(dim, dim) if name.endswith("weight") else (dim,))
+              for name in ATTENTION_PARAMS}
+    return x, params
+
+
+@pytest.mark.parametrize("batch", [1, 4, 16])
+def test_attention_matches_composite_bit_for_bit(batch):
+    x0, params = _attention_inputs(batch, rows=17, dim=32, seed=batch)
+    upstream = np.random.default_rng(99).normal(size=x0.shape).astype(np.float32)
+    gain0 = np.linspace(0.5, 1.5, 32, dtype=np.float32)
+
+    def run(op):
+        # Behind a layer_norm, as in a block, so the input is an inner node
+        # whose gradient is the sum of the q, k and v paths.
+        x = Tensor(x0.astype(np.float32), requires_grad=True)
+        gain = Tensor(gain0.copy(), requires_grad=True)
+        bias = Tensor(np.zeros(32, np.float32), requires_grad=True)
+        ps = [Tensor(params[n].astype(np.float32), requires_grad=True) for n in ATTENTION_PARAMS]
+        y = op(layer_norm(x, gain, bias), *ps, 2)
+        backward(y, upstream)
+        return [y.values, x.grad] + [p.grad for p in ps]
+
+    names = ("values", "x.grad") + ATTENTION_PARAMS
+    for name, got, want in zip(names, run(attention), run(composite.attention)):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_gelu_matches_textbook_expressions_bit_for_bit():
+    # Normal values plus zeros, subnormals, huge values and infinities.
+    rng = np.random.default_rng(8)
+    edges = [0.0, -0.0, 1e-40, -1e-40, 1e-38, -1e-38, 1e30, -1e30, 50.0, -50.0,
+             np.inf, -np.inf]
+    x0 = np.concatenate([rng.normal(0, 3, size=(16 * 17 * 128)), edges]).astype(np.float32)
+    upstream = rng.normal(size=x0.shape).astype(np.float32)
+
+    def run(op):
+        x = Tensor(x0, requires_grad=True)
+        y = op(x)
+        backward(y, upstream)
+        return y.values, x.grad
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, got, want in zip(("values", "grad"), run(gelu), run(composite.gelu)):
+            assert np.array_equal(got, want, equal_nan=True), name
+
+
+def test_attention_matches_finite_differences():
+    x64, params = _attention_inputs(2, rows=3, dim=4, seed=5)
+    params["out_weight"], params["out_bias"] = np.eye(4), np.zeros(4)
+    weights = np.random.default_rng(6).normal(size=x64.shape)
+    arrays = {"x": x64, **{n: params[n] for n in ATTENTION_PARAMS}}
+
+    def ref_loss():
+        p = {**params, **arrays}
+        return (_ref_attention(arrays["x"], p, "", heads=2) * weights).sum()
+
+    expected = central_difference(ref_loss, arrays, h=1e-3)
+    tensors = {n: Tensor(a.astype(np.float32), requires_grad=True) for n, a in arrays.items()}
+    y = attention(tensors["x"], *(tensors[n] for n in ATTENTION_PARAMS), 2)
+    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2), atol=1e-5)
+    backward(y, weights.astype(np.float32))
+    for name, tensor in tensors.items():
+        assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
+
+
+def test_attention_rejects_mismatched_shapes():
+    _, params = _attention_inputs(1)
+    ps = [Tensor(params[n].astype(np.float32)) for n in ATTENTION_PARAMS]
+    with pytest.raises(DimensionError):
+        attention(Tensor(np.zeros((5, 8), np.float32)), *ps, 2)
+    with pytest.raises(DimensionError):
+        attention(Tensor(np.zeros((1, 5, 8), np.float32)), *ps, 3)
+    with pytest.raises(DimensionError):
+        attention(Tensor(np.zeros((1, 5, 6), np.float32)), *ps, 2)
+
+
+class TestNoGrad:
+    def test_forward_records_nothing_and_computes_the_same_values(self):
+        w = Tensor(rand((4, 3)), requires_grad=True)
+        b = Tensor(rand((4,), seed=1), requires_grad=True)
+        x = Tensor(rand((2, 3), seed=2))
+        with no_grad():
+            y = mean(gelu(linear(x, w, b)))
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        backward(y)
+        assert w.grad is None and b.grad is None
+        assert np.array_equal(y.values, mean(gelu(linear(x, w, b))).values)
+
+    def test_recording_resumes_after_the_block_and_after_an_exception(self):
+        w = Tensor(rand((3,)), requires_grad=True)
+        with pytest.raises(DimensionError):
+            with no_grad():
+                add(w, Tensor(np.zeros(2, np.float32)))
+        assert scale(w, 2.0).requires_grad
+        with no_grad():
+            with no_grad():
+                pass
+            assert not scale(w, 2.0).requires_grad
+        backward(mean(scale(w, 2.0)))
+        assert np.allclose(w.grad, 2.0 / 3.0)
 
 
 def test_linear_rejects_mismatched_shapes():
