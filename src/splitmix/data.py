@@ -18,6 +18,7 @@ from .errors import ContractError, IngestionError
 CIFAR_RECORD = 3073
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILE = "test_batch.bin"
+_SYNTHETIC_CHUNK = 256  # samples generated at once, which bounds the temporaries
 
 
 @dataclass
@@ -129,17 +130,25 @@ def make_synthetic(num_samples: int, classes: int, image_size: int, seed: int,
     gen.shuffle(labels)
     ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     cells = image_size // mosaic_cell
-    images = np.empty((num_samples, channels, image_size, image_size), dtype=np.float32)
-    for i, label in enumerate(labels):
-        cy, cx = centers[label] + gen.normal(0.0, jitter, size=2)
-        blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * blob_radius ** 2))
-        base = amplitude * colors[label][:, None, None] * blob[None, :, :] + 0.15
-        if mosaic_std > 0:
-            tiles = gen.normal(0.0, mosaic_std, size=(channels, cells, cells))
-            base = base + np.repeat(np.repeat(tiles, mosaic_cell, axis=1),
-                                    mosaic_cell, axis=2)
-        noisy = base + gen.normal(0.0, noise_std, size=base.shape)
-        images[i] = np.clip(noisy, 0.0, 1.0)
+    tiles = channels * cells * cells if mosaic_std > 0 else 0
+    shape = (channels, image_size, image_size)
+    images = np.empty((num_samples,) + shape, dtype=np.float32)
+    # A sample draws its center jitter, then its tile offsets, then its pixel
+    # noise, each normal(0, s), which is 0 + s * z over standard-normal draws;
+    # so one draw of consecutive rows serves a chunk of samples in that order.
+    for start in range(0, num_samples, _SYNTHETIC_CHUNK):
+        chunk = labels[start:start + _SYNTHETIC_CHUNK]
+        z = gen.standard_normal((chunk.size, 2 + tiles + int(np.prod(shape))))
+        cy, cx = (centers[chunk] + (0.0 + jitter * z[:, :2])).T
+        blob = np.exp(-((ys - cy[:, None, None]) ** 2 + (xs - cx[:, None, None]) ** 2)
+                      / (2.0 * blob_radius ** 2))
+        base = (amplitude * colors[chunk])[:, :, None, None] * blob[:, None] + 0.15
+        if tiles:
+            offsets = (0.0 + mosaic_std * z[:, 2:2 + tiles]).reshape(-1, channels, cells, cells)
+            base = base + np.repeat(np.repeat(offsets, mosaic_cell, axis=2),
+                                    mosaic_cell, axis=3)
+        noisy = base + (0.0 + noise_std * z[:, 2 + tiles:]).reshape(base.shape)
+        images[start:start + chunk.size] = np.clip(noisy, 0.0, 1.0)
     return Dataset(images, labels, classes)
 
 

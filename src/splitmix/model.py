@@ -1,10 +1,12 @@
-"""Split vision transformer: client embedding segment and server block stack.
+"""Split vision transformer: client embedding segments and server block stack.
 
-The client holds only the patch-embedding layer (linear patch projection,
+A client holds only the patch-embedding layer (linear patch projection,
 bias, learnable positional table) and emits one token grid per image.  The
-server holds the class token, the pre-norm transformer blocks, the final
-norm, and the classifier head.  Keeping the class token server-side means
-masks and mixing always operate over exactly the patch-token rows.
+n clients' segments are one stacked fleet, row i being client i, so all of
+them run forward, backward and their optimizer step as one.  The server
+holds the class token, the pre-norm transformer blocks, the final norm, and
+the classifier head.  Keeping the class token server-side means masks and
+mixing always operate over exactly the patch-token rows.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import (Tensor, add, attention, concat, expand_batch, gelu, layer_norm, linear,
-                     reshape, slice_rows)
+from .tensor import (Tensor, add, attention, concat, embed, expand_batch, gelu, layer_norm,
+                     linear, reshape, slice_rows)
 
 
 @dataclass(frozen=True)
@@ -67,15 +69,24 @@ PROFILES = {
 
 @dataclass
 class ClientSegment:
-    """Patch embedding: weight (embed_dim, patch_pixels), bias, positional table."""
+    """The patch embeddings of a fleet of n clients, stacked: weight
+    (n, embed_dim, patch_pixels), bias (n, embed_dim), positional tables
+    (n, tokens, embed_dim).  Row i is client i."""
 
     patch_weight: Tensor
     patch_bias: Tensor
     pos_embed: Tensor
 
+    def __len__(self) -> int:
+        return self.patch_weight.shape[0]
+
     def parameters(self) -> dict[str, Tensor]:
         return {"patch_weight": self.patch_weight, "patch_bias": self.patch_bias,
                 "pos_embed": self.pos_embed}
+
+    def row(self, i: int) -> "ClientSegment":
+        """Client i as a fleet of one whose arrays are views of row i."""
+        return ClientSegment(*(Tensor(t.values[i:i + 1]) for t in self.parameters().values()))
 
 
 @dataclass
@@ -134,6 +145,8 @@ def _truncated_normal(gen: np.random.Generator, shape, std: float = 0.02,
 def init_parameters(config: ModelConfig, seed: int) -> tuple[ClientSegment, ServerSegment]:
     """Deterministic init: trunc-normal(0.02) weights, zero biases and positions.
 
+    The client segment is a fleet of one; ``fleet_of`` repeats it.
+
     Draw order is fixed (client patch weight, then per-block q/k/v/out/fc1/fc2,
     class token, head) so the same seed always yields the same parameters.
     """
@@ -151,8 +164,8 @@ def init_parameters(config: ModelConfig, seed: int) -> tuple[ClientSegment, Serv
     def ones(*shape):
         return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
-    client = ClientSegment(patch_weight=weight(d, p), patch_bias=zeros(d),
-                           pos_embed=zeros(config.tokens, d))
+    client = ClientSegment(patch_weight=weight(1, d, p), patch_bias=zeros(1, d),
+                           pos_embed=zeros(1, config.tokens, d))
     blocks = []
     for _ in range(config.depth):
         blocks.append(BlockParams(
@@ -190,10 +203,19 @@ def extract_patches(images: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 def client_forward(segment: ClientSegment, images: np.ndarray,
                    config: ModelConfig) -> Tensor:
-    """Per-patch flatten -> linear embed -> add positional table; no class token."""
-    patches = Tensor(extract_patches(images, config))
-    tokens = linear(patches, segment.patch_weight, segment.patch_bias)
-    return add(tokens, segment.pos_embed)
+    """Every client's embedding at once: ``(n, batch, C, H, W)`` images, row i
+    through client i, to ``(n, batch, M, d)`` tokens; no class token.
+
+    Per-patch flatten, then one ``embed`` node: linear projection plus the
+    positional table.
+    """
+    if images.ndim != 5 or images.shape[0] != len(segment):
+        raise DimensionError(
+            f"images must be ({len(segment)} clients, batch, C, H, W), got {images.shape}")
+    n, batch = images.shape[:2]
+    patches = extract_patches(images.reshape((n * batch,) + images.shape[2:]), config)
+    return embed(patches.reshape(n, batch, config.tokens, config.patch_pixels),
+                 segment.patch_weight, segment.patch_bias, segment.pos_embed)
 
 
 def server_forward(segment: ServerSegment, tokens: Tensor,
@@ -217,11 +239,10 @@ def server_forward(segment: ServerSegment, tokens: Tensor,
     return linear(normed, segment.head_weight, segment.head_bias)
 
 
-def clone_client_segment(segment: ClientSegment) -> ClientSegment:
-    return ClientSegment(
-        patch_weight=Tensor(segment.patch_weight.values.copy(), requires_grad=True),
-        patch_bias=Tensor(segment.patch_bias.values.copy(), requires_grad=True),
-        pos_embed=Tensor(segment.pos_embed.values.copy(), requires_grad=True))
+def fleet_of(segment: ClientSegment, n: int) -> ClientSegment:
+    """A fleet of n clients, each starting from a fleet of one's parameters."""
+    return ClientSegment(*(Tensor(np.repeat(t.values, n, axis=0), requires_grad=True)
+                           for t in segment.parameters().values()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +297,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
 
 def segments_to_named(client: ClientSegment | None,
                       server: ServerSegment | None) -> dict[str, np.ndarray]:
+    """``client`` is one client's segment (a fleet of one), stored without the fleet axis."""
     named: dict[str, np.ndarray] = {}
     if client is not None:
         for key, tensor in client.parameters().items():
-            named[f"client.{key}"] = tensor.values
+            named[f"client.{key}"] = tensor.values[0]
     if server is not None:
         for key, tensor in server.parameters().items():
             named[f"server.{key}"] = tensor.values
@@ -290,7 +312,7 @@ def named_to_segments(named: dict[str, np.ndarray],
                       config: ModelConfig) -> tuple[ClientSegment, ServerSegment]:
     client, server = init_parameters(config, seed=0)
     for key, tensor in client.parameters().items():
-        tensor.values = np.asarray(named[f"client.{key}"], dtype=np.float32)
+        tensor.values = np.asarray(named[f"client.{key}"], dtype=np.float32)[None]
     for key, tensor in server.parameters().items():
         tensor.values = np.asarray(named[f"server.{key}"], dtype=np.float32)
     return client, server

@@ -56,7 +56,7 @@ class AttackReport:
 
 @dataclass
 class Snapshot:
-    """Frozen trained client segment plus the data it embeds."""
+    """Frozen trained client segment (a fleet of one) plus the data it embeds."""
 
     client_segment: ClientSegment
     dataset: "object"  # data.Dataset
@@ -73,7 +73,7 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
     if name == "raw":
         return targets.copy(), targets
     with no_grad():
-        smashed = client_forward(snapshot.client_segment, dataset.images, mc).values
+        smashed = client_forward(snapshot.client_segment, dataset.images[None], mc).values[0]
     tokens = mc.tokens
     if name == "smashed":
         feats = smashed

@@ -7,13 +7,18 @@ group, or per member under ktimes), gradient download (unicast or
 broadcast) with one message per client, client backward + step, optional
 federated averaging of the client segments.
 
+The n clients are one stacked fleet: a round runs one client forward over
+all of them, one backward, one optimizer step and, when averaging is on,
+one FedAvg over the fleet axis.  Each client's rows compute exactly what
+its own forward, backward and step would.
+
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
 of its loss with respect to the mixed activations.  A client's graph ends
-at its smashed data, before activation noise and the cut, and its step is
-``backward(smashed, received_gradient)``: the received gradient seeds the
-graph as is, its own rows under unicast, the whole mixed-grid gradient
-under broadcast.
+at its smashed data, before activation noise and the cut, and the fleet's
+step is ``backward(smashed, received_gradients)``: each client's received
+gradient seeds its row as is, its own rows under unicast, the whole
+mixed-grid gradient under broadcast.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ProtocolError
+from .errors import ContractError, ProtocolError
 from .mixing import (CutMixBatch, CutSmashed, CutoutMasker, add_gaussian_noise,
                      add_label_noise, cut, cutmix_assemble, generate_mask_set,
                      sample_mixing_counts, shuffle_tokens, unshuffle_grid)
@@ -158,27 +163,14 @@ def route_gradients(group: MixGroup, grad_wrt_cutmix: np.ndarray,
     raise ContractError(f"unknown gradient mode {mode!r}")
 
 
-def fedavg_client_segments(segments: list[ClientSegment]) -> ClientSegment:
-    """Elementwise mean of every client parameter, accumulated in float64."""
-    if not segments:
-        raise ContractError("fedavg over an empty segment list")
-    w = 1.0 / len(segments)
-    reference = segments[0].parameters()
-    averaged: dict[str, np.ndarray] = {}
-    for name, tensor in reference.items():
-        acc = np.zeros_like(tensor.values, dtype=np.float64)
-        for seg in segments:
-            other = seg.parameters()[name]
-            if other.values.shape != tensor.values.shape:
-                raise DimensionError(
-                    f"fedavg: parameter {name} shapes differ "
-                    f"({other.values.shape} vs {tensor.values.shape})")
-            acc += w * other.values.astype(np.float64)
-        averaged[name] = acc.astype(np.float32)
-    return ClientSegment(
-        patch_weight=Tensor(averaged["patch_weight"], requires_grad=True),
-        patch_bias=Tensor(averaged["patch_bias"], requires_grad=True),
-        pos_embed=Tensor(averaged["pos_embed"], requires_grad=True))
+def fedavg_client_segments(fleet: ClientSegment) -> None:
+    """Set every client's parameters, in place, to the fleet's elementwise
+    mean, accumulated in float64 over the clients in order."""
+    if not len(fleet):
+        raise ContractError("fedavg over an empty fleet")
+    w = 1.0 / len(fleet)
+    for tensor in fleet.parameters().values():
+        tensor.values[...] = (w * tensor.values.astype(np.float64)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +178,15 @@ def fedavg_client_segments(segments: list[ClientSegment]) -> ClientSegment:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ClientState:
-    client_id: int
+class ClientFleet:
+    """All n clients: client i is row i of ``segment`` and has id i.  One
+    AdamW steps the stacked parameters; every client steps every round with
+    the same learning rate, and the update is elementwise, so this is each
+    client's own step."""
+
     segment: ClientSegment
     optimizer: AdamW
-    masker: CutoutMasker | None = None  # token cutout for the k=1 baseline
+    maskers: list[CutoutMasker] | None = None  # per-client token cutout, k=1 baseline
 
 
 @dataclass
@@ -233,35 +229,41 @@ def _full_mask(tokens: int) -> np.ndarray:
     return np.ones(tokens, dtype=np.uint8)
 
 
-def run_round(clients: list[ClientState], server: ServerState,
+def run_round(fleet: ClientFleet, server: ServerState,
               batches: dict[int, tuple[np.ndarray, np.ndarray]],
               model_config: ModelConfig, options: RoundOptions, hub: RngHub,
               round_index: int, transcript=None) -> RoundMetrics:
-    """Execute one synchronous training round and return its metrics."""
+    """Execute one synchronous training round and return its metrics.
+
+    ``batches`` maps each client id to its ``(images, labels)`` batch.
+    """
     tokens = model_config.tokens
     num_classes = model_config.num_classes
-    by_id = {c.client_id: c for c in clients}
-    batch_sizes = {cid: batches[cid][0].shape[0] for cid in by_id}
+    ids = range(len(fleet.segment))
+    batch_sizes = {cid: batches[cid][0].shape[0] for cid in ids}
     if len(set(batch_sizes.values())) > 1:
         raise ContractError(f"clients hold unequal batch sizes: {batch_sizes}")
 
     if transcript is not None:
         transcript.round_start(round_index)
 
-    member_lists = form_groups(list(by_id), options.k_way, hub.groups(round_index))
+    member_lists = form_groups(ids, options.k_way, hub.groups(round_index))
     groups = [MixGroup(gid, members) for gid, members in enumerate(member_lists)]
 
     activation_total = 0
-    uplink = {cid: 0 for cid in by_id}
+    uplink = {cid: 0 for cid in ids}
     losses: list[float] = []
 
-    # --- mixer: sequence generation; clients: forward, cut, upload -------
+    # --- clients: one forward for the fleet; the graph ends at the smashed data
+    smashed = client_forward(fleet.segment, np.stack([batches[cid][0] for cid in ids]),
+                             model_config)
+
+    # --- mixer: sequence generation; clients: cut, upload ----------------
     uploads: dict[int, UploadCutSmashed] = {}
-    smashed_of: dict[int, Tensor] = {}  # each client's graph ends here
     for group in groups:
         k_here = len(group.members)
-        if k_here == 1 and by_id[group.members[0]].masker is not None:
-            mask_set = by_id[group.members[0]].masker.next_mask()[None, :]
+        if k_here == 1 and fleet.maskers is not None:
+            mask_set = fleet.maskers[group.members[0]].next_mask()[None, :]
             allocation = np.array([int(mask_set[0].sum())], dtype=np.int64)
         elif k_here == 1:
             mask_set = _full_mask(tokens)[None, :]
@@ -278,14 +280,11 @@ def run_round(clients: list[ClientState], server: ServerState,
             assignment = SequenceAssignment(client_id=member, mask=mask)
             if transcript is not None:
                 transcript.sequence(assignment)
-            images, labels = batches[member]
-            smashed = client_forward(by_id[member].segment, images, model_config)
-            smashed_of[member] = smashed
-            values = smashed.values
+            values = smashed.values[member]
             if options.noise_x > 0:
                 values = add_gaussian_noise(values, options.noise_x,
                                             hub.noise(round_index, member, 0))
-            label_rows = one_hot(labels, num_classes)
+            label_rows = one_hot(batches[member][1], num_classes)
             if options.noise_y > 0:
                 label_rows = add_label_noise(label_rows, options.noise_y,
                                              hub.noise(round_index, member, 1))
@@ -349,20 +348,16 @@ def run_round(clients: list[ClientState], server: ServerState,
                     transcript.gradient_down(down)
             losses.append(loss_value)
 
-    # --- clients: seed the smashed data with the received gradient -------
-    for cid, down in deliveries.items():
-        state = by_id[cid]
-        backward(smashed_of[cid], down.grad)
-        state.optimizer.step()
-        state.optimizer.zero_grads()
-        if transcript is not None:
+    # --- clients: seed each row of the smashed data with its gradient ----
+    backward(smashed, np.stack([deliveries[cid].grad for cid in ids]))
+    fleet.optimizer.step()
+    fleet.optimizer.zero_grads()
+    if transcript is not None:
+        for cid in deliveries:
             transcript.client_step(cid)
 
     if options.apply_fedavg:
-        averaged = fedavg_client_segments([c.segment for c in clients])
-        for state in clients:
-            for name, tensor in state.segment.parameters().items():
-                tensor.values = averaged.parameters()[name].values.copy()
+        fedavg_client_segments(fleet.segment)
 
     total_uplink = int(sum(uplink.values()))
     metrics = RoundMetrics(

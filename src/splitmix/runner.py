@@ -14,15 +14,14 @@ from .config import ExperimentConfig
 from .data import Dataset, load_cifar10, make_synthetic, partition
 from .errors import ContractError, IngestionError
 from .mixing import CutoutMasker
-from .model import (PROFILES, ModelConfig, clone_client_segment, client_forward,
-                    init_parameters, server_forward)
+from .model import PROFILES, ModelConfig, client_forward, fleet_of, init_parameters, server_forward
 from .optim import AdamW, WarmupCosine
 from .privacy import (REPRESENTATIONS, AttackConfig, AttackReport, Snapshot,
                       run_attack)
-from .protocol import (ClientState, RoundMetrics, RoundOptions, ServerState,
+from .protocol import (ClientFleet, RoundMetrics, RoundOptions, ServerState,
                        fedavg_client_segments, run_round)
 from .rng import RngHub
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 from .transcript import TranscriptWriter
 
 CSV_SCHEMA = "splitmix-metrics-v1"
@@ -58,7 +57,7 @@ def load_experiment_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset]:
 
 
 class TrainingSystem:
-    """Clients, server, optimizers, and per-client data shards."""
+    """The client fleet, the server, their optimizers, and per-client data shards."""
 
     def __init__(self, cfg: ExperimentConfig, model_cfg: ModelConfig,
                  train: Dataset, hub: RngHub):
@@ -70,18 +69,15 @@ class TrainingSystem:
         self.shards = shards
         self.train = train
         base_client, server_segment = init_parameters(model_cfg, cfg.seed)
-        self.clients: list[ClientState] = []
-        for cid in range(cfg.n_clients):
-            segment = clone_client_segment(base_client)
-            masker = None
-            if cfg.keep_ratio < 1.0:
-                masker = CutoutMasker(cfg.keep_ratio, cfg.mask_mode, model_cfg.tokens,
-                                      hub.masks(cid, 0, 1))
-            self.clients.append(ClientState(
-                client_id=cid, segment=segment,
-                optimizer=AdamW(segment.parameters(), lr=cfg.lr,
-                                weight_decay=cfg.weight_decay),
-                masker=masker))
+        segment = fleet_of(base_client, cfg.n_clients)
+        maskers = None
+        if cfg.keep_ratio < 1.0:
+            maskers = [CutoutMasker(cfg.keep_ratio, cfg.mask_mode, model_cfg.tokens,
+                                    hub.masks(cid, 0, 1)) for cid in range(cfg.n_clients)]
+        self.fleet = ClientFleet(
+            segment=segment,
+            optimizer=AdamW(segment.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay),
+            maskers=maskers)
         self.server = ServerState(
             segment=server_segment,
             optimizer=AdamW(server_segment.parameters(), lr=cfg.lr,
@@ -92,17 +88,20 @@ class TrainingSystem:
             raise ContractError(
                 f"smallest client shard ({min(sizes)} samples) cannot fill a "
                 f"batch of {cfg.batch_size}")
+        self._epoch_order: tuple[int, list[np.ndarray]] = (-1, [])
 
     def batches_for(self, epoch: int, round_in_epoch: int) -> dict:
-        cfg = self.cfg
-        out = {}
-        for state in self.clients:
-            shard = self.shards[state.client_id]
-            order = self.hub.data(1, state.client_id, epoch).permutation(len(shard))
-            take = shard[order[round_in_epoch * cfg.batch_size:
-                               (round_in_epoch + 1) * cfg.batch_size]]
-            out[state.client_id] = (self.train.images[take], self.train.labels[take])
-        return out
+        """Each client's batch: the next slice of its shard in this epoch's
+        order, which is drawn once per epoch."""
+        if self._epoch_order[0] != epoch:
+            self._epoch_order = (epoch, [
+                shard[self.hub.data(1, cid, epoch).permutation(len(shard))]
+                for cid, shard in enumerate(self.shards)])
+        start = round_in_epoch * self.cfg.batch_size
+        take = np.stack([order[start:start + self.cfg.batch_size]
+                         for order in self._epoch_order[1]])
+        images, labels = self.train.images[take], self.train.labels[take]
+        return {cid: (images[cid], labels[cid]) for cid in range(len(take))}
 
     def round_options(self, apply_fedavg: bool) -> RoundOptions:
         cfg = self.cfg
@@ -116,25 +115,31 @@ class TrainingSystem:
 
 def _forward_accuracy(segment, server, dataset: Dataset, model_cfg: ModelConfig,
                       chunk: int = 256) -> float:
+    """Top-1 accuracy of one client's segment (a fleet of one) and the server."""
     correct = 0
     with no_grad():
         for start in range(0, len(dataset), chunk):
             images = dataset.images[start:start + chunk]
             labels = dataset.labels[start:start + chunk]
-            tokens = client_forward(segment, images, model_cfg)
-            logits = server_forward(server.segment, tokens, model_cfg)
+            tokens = client_forward(segment, images[None], model_cfg).values[0]
+            logits = server_forward(server.segment, Tensor(tokens), model_cfg)
             correct += int((logits.values.argmax(axis=1) == labels).sum())
     return correct / max(1, len(dataset))
 
 
 def evaluate(system: TrainingSystem, test: Dataset) -> float:
     """FedAvg-averaged client segment when averaging is on, else the mean
-    of per-client accuracies."""
+    of per-client accuracies.
+
+    Averaging is done in place; right after a round that averaged, it moves
+    no bits, because the mean of n equal float32 values is that value.
+    """
+    fleet = system.fleet.segment
     if system.cfg.fedavg_enabled:
-        merged = fedavg_client_segments([c.segment for c in system.clients])
-        return _forward_accuracy(merged, system.server, test, system.model_cfg)
-    accs = [_forward_accuracy(c.segment, system.server, test, system.model_cfg)
-            for c in system.clients]
+        fedavg_client_segments(fleet)
+        return _forward_accuracy(fleet.row(0), system.server, test, system.model_cfg)
+    accs = [_forward_accuracy(fleet.row(cid), system.server, test, system.model_cfg)
+            for cid in range(len(fleet))]
     return float(np.mean(accs))
 
 
@@ -166,13 +171,12 @@ def train_rounds(system: TrainingSystem, transcript=None):
         for r in range(per_epoch):
             global_round = epoch * per_epoch + r
             lr = schedule.lr_at(global_round)
-            for state in system.clients:
-                state.optimizer.lr = lr
+            system.fleet.optimizer.lr = lr
             system.server.optimizer.lr = lr
             last_of_epoch = r == per_epoch - 1
             apply_fedavg = cfg.fedavg_enabled and (
                 cfg.fedavg_cadence == "round" or last_of_epoch)
-            metrics = run_round(system.clients, system.server,
+            metrics = run_round(system.fleet, system.server,
                                 system.batches_for(epoch, r), system.model_cfg,
                                 system.round_options(apply_fedavg), system.hub,
                                 global_round, transcript)
@@ -248,7 +252,7 @@ def train_snapshot(cfg: ExperimentConfig) -> tuple[Snapshot, Dataset]:
     system = TrainingSystem(pre_cfg, model_cfg, train, hub)
     for _ in train_rounds(system):
         pass
-    snapshot = Snapshot(client_segment=system.clients[0].segment,
+    snapshot = Snapshot(client_segment=system.fleet.segment.row(0),
                         dataset=train, model_config=model_cfg)
     return snapshot, test
 

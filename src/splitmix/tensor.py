@@ -216,6 +216,39 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
     return _node(out, (x, weight, bias), bwd)
 
 
+def embed(patches: np.ndarray, weight: Tensor, bias: Tensor, pos: Tensor) -> Tensor:
+    """Patch embedding of a fleet of n clients: ``patches @ weight.T + bias + pos``
+    for each client.
+
+    ``patches`` is a constant ``(n, batch, rows, in)`` array; ``weight`` is
+    ``(n, out, in)``, ``bias`` ``(n, out)`` and ``pos`` ``(n, rows, out)``.
+    One node stands for a ``linear`` and an ``add`` per client and evaluates
+    their numpy expressions on all n slices at once (stacked matmuls, sums
+    over axis 1), so each client's values and gradients match its own pair
+    bit for bit.
+    """
+    if patches.ndim != 4:
+        raise DimensionError(f"embed: patches must be (n, batch, rows, in), got {patches.shape}")
+    n, batch, rows, in_dim = patches.shape
+    out_dim = bias.shape[-1]
+    if (weight.shape != (n, out_dim, in_dim) or bias.shape != (n, out_dim)
+            or pos.shape != (n, rows, out_dim)):
+        raise DimensionError(f"embed: weight {weight.shape}, bias {bias.shape} and pos "
+                             f"{pos.shape} do not fit patches {patches.shape}")
+    flat = patches.reshape(n, -1, in_dim)
+    out = flat @ np.swapaxes(weight.values, 1, 2)
+    out += bias.values[:, None, :]
+    out = out.reshape(n, batch, rows, out_dim)
+    out += pos.values[:, None]
+
+    def bwd(g):
+        g_pos = g.sum(axis=1)
+        g = g.reshape(n, -1, out_dim)
+        return np.swapaxes(np.swapaxes(flat, 1, 2) @ g, 1, 2), g.sum(axis=1), g_pos
+
+    return _node(out, (weight, bias, pos), bwd)
+
+
 def gelu(a) -> Tensor:
     """GELU via the tanh approximation (differentiable everywhere).
 

@@ -2,9 +2,10 @@
 
 ``matmul``, ``softmax`` and ``transpose`` are the engine's former ops,
 unchanged; ``attention`` is the chain the model ran before
-``tensor.attention`` became one node, and ``gelu`` the engine's GELU
-before it wrote its temporaries in place.  The engine's ops are held to
-these bit for bit, in values and in gradients.
+``tensor.attention`` became one node, ``gelu`` the engine's GELU before it
+wrote its temporaries in place, and ``client_forward`` one client's
+embedding before the fleet's became one ``embed`` node.  The engine's ops
+are held to these bit for bit, in values and in gradients.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 import numpy as np
 
 from splitmix.errors import DimensionError
-from splitmix.tensor import _GELU_C, _GELU_K, Tensor, _as_tensor, _node, linear, reshape, scale
+from splitmix.model import extract_patches
+from splitmix.tensor import (_GELU_C, _GELU_K, Tensor, _as_tensor, _node, add, linear, reshape,
+                             scale)
 
 
 def matmul(a, b) -> Tensor:
@@ -89,3 +92,10 @@ def attention(x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias, heads):
     weights = softmax(scores, axis=-1)
     context = matmul(weights, v)
     return reshape(transpose(context, (0, 2, 1, 3)), (batch, rows, d))
+
+
+def client_forward(weight, bias, pos, images, config):
+    """One client's embedding of ``(batch, C, H, W)`` images: a ``linear`` of its
+    ``(d, P)`` weight and ``(d,)`` bias, then an ``add`` of its ``(M, d)`` table."""
+    patches = Tensor(extract_patches(images, config))
+    return add(linear(patches, weight, bias), pos)

@@ -78,10 +78,11 @@ def ref_extract_patches(images, patch):
 
 
 def ref_client_forward(params, images, patch):
-    """params: patch_weight (d, P), patch_bias (d,), pos_embed (M, d)."""
+    """params: patch_weight (d, P), patch_bias (d,), pos_embed (M, d), each
+    with or without a leading fleet axis of one."""
     patches = ref_extract_patches(images, patch)
-    tokens = patches @ params["patch_weight"].T + params["patch_bias"]
-    return tokens + params["pos_embed"]
+    tokens = patches @ np.swapaxes(params["patch_weight"], -1, -2)
+    return tokens + params["patch_bias"][..., None, :] + params["pos_embed"]
 
 
 def _ref_attention(x, p, prefix, heads):
@@ -118,6 +119,36 @@ def ref_server_forward(params, tokens, depth, heads):
         x = x + (h @ p["fc2_weight"].T + p["fc2_bias"]).reshape(b, n, d)
     cls_row = ref_layer_norm(x[:, 0, :], params["norm_gain"], params["norm_bias"])
     return cls_row @ params["head_weight"].T + params["head_bias"]
+
+
+def ref_make_synthetic(num_samples, classes, image_size, seed, channels=3, noise_std=0.1,
+                       blob_radius=None, jitter=1.0, amplitude=0.7, mosaic_std=0.0,
+                       mosaic_cell=4):
+    """``data.make_synthetic`` one sample at a time, with three generator
+    calls per sample: the loop the chunked generator is held to byte for byte."""
+    from splitmix.data import _class_templates
+    from splitmix.rng import STREAM_DATA, stream_generator
+
+    gen = stream_generator(seed, STREAM_DATA)
+    if blob_radius is None:
+        blob_radius = image_size / 6.0
+    centers, colors = _class_templates(classes, image_size, channels)
+    labels = np.arange(num_samples, dtype=np.int64) % classes
+    gen.shuffle(labels)
+    ys, xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
+    cells = image_size // mosaic_cell
+    images = np.empty((num_samples, channels, image_size, image_size), dtype=np.float32)
+    for i, label in enumerate(labels):
+        cy, cx = centers[label] + gen.normal(0.0, jitter, size=2)
+        blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * blob_radius ** 2))
+        base = amplitude * colors[label][:, None, None] * blob[None, :, :] + 0.15
+        if mosaic_std > 0:
+            tiles = gen.normal(0.0, mosaic_std, size=(channels, cells, cells))
+            base = base + np.repeat(np.repeat(tiles, mosaic_cell, axis=1),
+                                    mosaic_cell, axis=2)
+        noisy = base + gen.normal(0.0, noise_std, size=base.shape)
+        images[i] = np.clip(noisy, 0.0, 1.0)
+    return images, labels
 
 
 def named_values(segment, prefix="") -> dict[str, np.ndarray]:

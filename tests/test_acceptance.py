@@ -31,15 +31,14 @@ from splitmix.config import ExperimentConfig
 from splitmix.data import make_synthetic
 from splitmix.mixing import (CutSmashed, cut, cutmix_assemble, generate_mask_set,
                              sample_mixing_counts)
-from splitmix.model import (ModelConfig, clone_client_segment, client_forward,
-                            init_parameters, server_forward)
+from splitmix.model import ModelConfig, client_forward, fleet_of, init_parameters, server_forward
 from splitmix.optim import AdamW
-from splitmix.protocol import (ClientState, MixGroup, RoundOptions, ServerState,
+from splitmix.protocol import (ClientFleet, MixGroup, RoundOptions, ServerState,
                                UploadCutSmashed, activation_bytes, one_hot,
                                route_gradients, run_round)
 from splitmix.rng import RngHub
 from splitmix.runner import run_attack_suite, run_experiment
-from splitmix.tensor import Tensor, backward, cross_entropy
+from splitmix.tensor import Tensor, backward, cross_entropy, reshape
 from splitmix.transcript import TranscriptWriter, read_transcript
 
 from oracles import (central_difference, named_values, ref_client_forward,
@@ -93,11 +92,8 @@ def _count_server_steps(options, tmp_path, tag):
     config = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                          depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
     base, server_segment = init_parameters(config, seed=0)
-    clients = []
-    for cid in range(10):
-        segment = clone_client_segment(base)
-        clients.append(ClientState(client_id=cid, segment=segment,
-                                   optimizer=AdamW(segment.parameters(), lr=1e-3)))
+    segment = fleet_of(base, 10)
+    fleet = ClientFleet(segment=segment, optimizer=AdamW(segment.parameters(), lr=1e-3))
     server = ServerState(segment=server_segment,
                          optimizer=AdamW(server_segment.parameters(), lr=1e-3))
     data = make_synthetic(20, 4, 8, seed=0, channels=1)
@@ -105,7 +101,7 @@ def _count_server_steps(options, tmp_path, tag):
                      data.labels[cid * 2:(cid + 1) * 2]) for cid in range(10)}
     path = tmp_path / f"{tag}.bin"
     with open(path, "wb") as fh:
-        run_round(clients, server, batches, config, options, RngHub(0), 0,
+        run_round(fleet, server, batches, config, options, RngHub(0), 0,
                   transcript=TranscriptWriter(fh))
     records = read_transcript(path)
     return sum(r["type"] == "server_step" for r in records)
@@ -159,7 +155,7 @@ def test_criterion_4_gradient_correctness():
     config = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                          depth=1, heads=2, mlp_ratio=2.0, num_classes=3)
     base, server_segment = init_parameters(config, seed=4)
-    segments = [clone_client_segment(base) for _ in range(2)]
+    fleet = fleet_of(base, 2)
     rng = np.random.default_rng(5)
     images = [rng.uniform(size=(2, 1, 8, 8)).astype(np.float32) for _ in range(2)]
     labels = [one_hot(rng.integers(0, 3, 2), 3) for _ in range(2)]
@@ -169,7 +165,7 @@ def test_criterion_4_gradient_correctness():
 
     params64 = {"server": named_values(server_segment)}
     for cid in range(2):
-        params64[f"client{cid}"] = named_values(segments[cid])
+        params64[f"client{cid}"] = named_values(fleet.row(cid))
 
     def ref_mix():
         grids = [ref_client_forward(params64[f"client{cid}"],
@@ -205,8 +201,8 @@ def test_criterion_4_gradient_correctness():
     # Engine-side pipeline, both routing modes, with run_round's client step.
     worst = 0.0
     for mode in ("unicast", "broadcast"):
-        smashed = [client_forward(segments[cid], images[cid], config) for cid in range(2)]
-        cuts = [cut(s.values, m).tokens for s, m in zip(smashed, masks)]
+        smashed = client_forward(fleet, np.stack(images), config)
+        cuts = [cut(s, m).tokens for s, m in zip(smashed.values, masks)]
         inputs = Tensor(cuts[0] + cuts[1], requires_grad=True)
         loss = cross_entropy(server_forward(server_segment, inputs, config),
                              Tensor(soft))
@@ -220,20 +216,21 @@ def test_criterion_4_gradient_correctness():
 
         group = MixGroup(0, [0, 1], counts, masks)
         downs = route_gradients(group, inputs.grad, mode)
-        for cid, down in enumerate(downs):
-            backward(smashed[cid], down.grad)
+        backward(smashed, np.stack([down.grad for down in downs]))
+        for cid in range(2):
             if mode == "unicast":
                 expected = central_difference(ref_true_loss, params64[f"client{cid}"],
                                               h=1e-3)
             else:
                 expected = central_difference(ref_broadcast_loss(cid),
                                               params64[f"client{cid}"], h=1e-3)
-            for key, tensor in segments[cid].parameters().items():
-                ok = np.allclose(tensor.grad, expected[key], rtol=2e-2, atol=1e-4)
-                worst = max(worst, float(np.abs(tensor.grad - expected[key]).max()))
+            for key, tensor in fleet.parameters().items():
+                grad = tensor.grad[cid:cid + 1]
+                ok = np.allclose(grad, expected[key], rtol=2e-2, atol=1e-4)
+                worst = max(worst, float(np.abs(grad - expected[key]).max()))
                 assert ok, f"client{cid} {key} ({mode})"
-            for tensor in segments[cid].parameters().values():
-                tensor.grad = None
+        for tensor in fleet.parameters().values():
+            tensor.grad = None
         for tensor in server_segment.parameters().values():
             tensor.grad = None
     report("4 gradient-correctness", True, f"worst |ad - fd| = {worst:.2e}")
@@ -246,14 +243,14 @@ def test_criterion_5_degenerate_equivalence():
     data = make_synthetic(rounds * 4, 4, 8, seed=17, channels=1)
 
     base, server_segment = init_parameters(config, 21)
-    segment = clone_client_segment(base)
-    split_client = ClientState(0, segment, AdamW(segment.parameters(), lr=1e-3))
+    segment = fleet_of(base, 1)
+    split_client = ClientFleet(segment, AdamW(segment.parameters(), lr=1e-3))
     server = ServerState(server_segment, AdamW(server_segment.parameters(), lr=1e-3))
     hub = RngHub(21)
     split_losses = []
     for r in range(rounds):
         batch = {0: (data.images[r * 4:(r + 1) * 4], data.labels[r * 4:(r + 1) * 4])}
-        metrics = run_round([split_client], server, batch, config,
+        metrics = run_round(split_client, server, batch, config,
                             RoundOptions(k_way=1), hub, r)
         split_losses.append(metrics.train_loss)
 
@@ -264,9 +261,10 @@ def test_criterion_5_degenerate_equivalence():
     for r in range(rounds):
         images = data.images[r * 4:(r + 1) * 4]
         labels = one_hot(data.labels[r * 4:(r + 1) * 4], 4)
+        tokens = client_forward(ref_client, images[None], config)
         loss = cross_entropy(
-            server_forward(ref_server, client_forward(ref_client, images, config),
-                           config), Tensor(labels))
+            server_forward(ref_server, reshape(tokens, tokens.shape[1:]), config),
+            Tensor(labels))
         backward(loss)
         opt_s.step(); opt_s.zero_grads()
         opt_c.step(); opt_c.zero_grads()

@@ -6,7 +6,7 @@ import pytest
 from splitmix.data import CIFAR_RECORD, Dataset, load_cifar10, make_synthetic, partition
 from splitmix.errors import ContractError, IngestionError
 
-from oracles import encode_records
+from oracles import encode_records, ref_make_synthetic
 
 
 def write_cifar_dir(path, n_per_file=20, seed=0):
@@ -99,6 +99,20 @@ class TestSynthetic:
         pred = np.hstack([test_x, np.ones((200, 1))]) @ weights
         acc = (pred.argmax(axis=1) == data.labels[400:]).mean()
         assert acc > 0.95
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((0, 3, 8, 5), {}),
+        ((1, 3, 8, 5), dict(channels=1)),
+        ((300, 10, 16, 1), dict(noise_std=1.4, blob_radius=16.0)),
+        ((513, 4, 16, 2), dict(noise_std=0.05, mosaic_std=0.25, mosaic_cell=4)),
+        ((260, 10, 32, 3), dict(mosaic_std=0.3, mosaic_cell=8, jitter=0.0, noise_std=0.0)),
+        ((64, 5, 12, 4), dict(channels=2, mosaic_std=0.1, mosaic_cell=3, amplitude=0.9)),
+    ])
+    def test_chunked_draws_equal_the_per_sample_loop(self, args, kwargs):
+        data = make_synthetic(*args, **kwargs)
+        images, labels = ref_make_synthetic(*args, **kwargs)
+        assert data.images.tobytes() == images.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
 
     def test_mosaic_adds_per_tile_content(self):
         plain = make_synthetic(8, 4, 16, seed=3, mosaic_std=0.0)

@@ -9,11 +9,11 @@ import pytest
 from splitmix import model
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, DimensionError
-from splitmix.model import (PROFILES, ModelConfig, client_forward, init_parameters,
-                            load_checkpoint, named_to_segments, save_checkpoint,
-                            segments_to_named, server_forward)
+from splitmix.model import (PROFILES, ClientSegment, ModelConfig, client_forward,
+                            init_parameters, load_checkpoint, named_to_segments,
+                            save_checkpoint, segments_to_named, server_forward)
 from splitmix.runner import _forward_accuracy
-from splitmix.tensor import Tensor, backward, cross_entropy
+from splitmix.tensor import Tensor, backward, cross_entropy, reshape
 
 import composite
 from oracles import (central_difference, named_values, ref_client_forward,
@@ -31,19 +31,19 @@ def test_config_requires_exact_division():
 def test_zero_image_yields_positional_embedding():
     client, _ = init_parameters(TINY, seed=0)
     client.pos_embed.values = np.arange(TINY.tokens * TINY.embed_dim,
-                                        dtype=np.float32).reshape(TINY.tokens, -1)
-    images = np.zeros((2, 1, 8, 8), dtype=np.float32)
+                                        dtype=np.float32).reshape(1, TINY.tokens, -1)
+    images = np.zeros((1, 2, 1, 8, 8), dtype=np.float32)
     tokens = client_forward(client, images, TINY).values
     for b in range(2):
-        assert np.array_equal(tokens[b], client.pos_embed.values)
+        assert np.array_equal(tokens[0, b], client.pos_embed.values[0])
 
 
 def test_client_output_shape():
     cfg = ModelConfig(image_size=32, patch_size=8, channels=3, embed_dim=8,
                       depth=1, heads=2)
     client, _ = init_parameters(cfg, seed=1)
-    tokens = client_forward(client, np.zeros((1, 3, 32, 32), dtype=np.float32), cfg)
-    assert tokens.shape == (1, 16, 8)
+    tokens = client_forward(client, np.zeros((1, 2, 3, 32, 32), dtype=np.float32), cfg)
+    assert tokens.shape == (1, 2, 16, 8)
 
 
 def test_single_patch_weight_slice_reproduces_pixels():
@@ -52,20 +52,21 @@ def test_single_patch_weight_slice_reproduces_pixels():
     cfg = ModelConfig(image_size=4, patch_size=4, channels=1, embed_dim=8,
                       depth=1, heads=2)
     client, _ = init_parameters(cfg, seed=0)
-    client.patch_weight.values = np.zeros((8, 16), dtype=np.float32)
-    client.patch_weight.values[:, :8] = np.eye(8, dtype=np.float32)
-    client.patch_bias.values = np.zeros(8, dtype=np.float32)
-    client.pos_embed.values = np.full((1, 8), 0.25, dtype=np.float32)
-    image = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4) / 16.0
+    client.patch_weight.values = np.zeros((1, 8, 16), dtype=np.float32)
+    client.patch_weight.values[0, :, :8] = np.eye(8, dtype=np.float32)
+    client.patch_bias.values = np.zeros((1, 8), dtype=np.float32)
+    client.pos_embed.values = np.full((1, 1, 8), 0.25, dtype=np.float32)
+    image = np.arange(16, dtype=np.float32).reshape(1, 1, 1, 4, 4) / 16.0
     tokens = client_forward(client, image, cfg).values
     expected = image.reshape(-1)[:8] + 0.25
-    assert np.allclose(tokens[0, 0], expected, atol=1e-6)
+    assert np.allclose(tokens[0, 0, 0], expected, atol=1e-6)
 
 
 def test_client_forward_shape_validation():
     client, _ = init_parameters(TINY, seed=0)
-    with pytest.raises(DimensionError):
-        client_forward(client, np.zeros((2, 3, 8, 8), dtype=np.float32), TINY)
+    for shape in ((1, 2, 3, 8, 8), (2, 1, 8, 8), (2, 2, 1, 8, 8)):
+        with pytest.raises(DimensionError):
+            client_forward(client, np.zeros(shape, dtype=np.float32), TINY)
 
 
 def test_server_logit_shape():
@@ -87,8 +88,8 @@ def test_permutation_invariance_without_positions():
                       depth=1, heads=2, num_classes=10)
     client, server = init_parameters(cfg, seed=3)
     client.pos_embed.values = np.zeros_like(client.pos_embed.values)
-    images = np.random.default_rng(1).uniform(size=(2, 3, 16, 16)).astype(np.float32)
-    tokens = client_forward(client, images, cfg).values
+    images = np.random.default_rng(1).uniform(size=(1, 2, 3, 16, 16)).astype(np.float32)
+    tokens = client_forward(client, images, cfg).values[0]
     logits = server_forward(server, Tensor(tokens), cfg).values
     perm = np.random.default_rng(2).permutation(cfg.tokens)
     logits_perm = server_forward(server, Tensor(tokens[:, perm, :]), cfg).values
@@ -144,12 +145,40 @@ def test_end_to_end_gradients_match_finite_differences():
 
     expected = central_difference(ref_loss, params64, h=1e-3)
 
-    logits = server_forward(server, client_forward(client, images, TINY), TINY)
+    tokens = reshape(client_forward(client, images[None], TINY), (3, TINY.tokens, TINY.embed_dim))
+    logits = server_forward(server, tokens, TINY)
     backward(cross_entropy(logits, Tensor(labels)))
     for key, tensor in client.parameters().items():
         assert np.allclose(tensor.grad, expected[f"c.{key}"], rtol=2e-2, atol=1e-4), key
     for key, tensor in server.parameters().items():
         assert np.allclose(tensor.grad, expected[f"s.{key}"], rtol=2e-2, atol=1e-4), key
+
+
+@pytest.mark.parametrize("n", [1, 3, 64])
+def test_fleet_forward_matches_per_client_composite_bit_for_bit(n):
+    # Each row of the fleet's one embed node against that client's own
+    # linear + add graph, in value and in all three parameter gradients.
+    cfg = PROFILES["desk"]
+    d, p, m = cfg.embed_dim, cfg.patch_pixels, cfg.tokens
+    rng = np.random.default_rng(n)
+    params = {"patch_weight": rng.normal(0, 0.2, size=(n, d, p)),
+              "patch_bias": rng.normal(0, 0.1, size=(n, d)),
+              "pos_embed": rng.normal(0, 0.1, size=(n, m, d))}
+    params = {k: v.astype(np.float32) for k, v in params.items()}
+    images = rng.uniform(size=(n, 4, cfg.channels, cfg.image_size, cfg.image_size))
+    images = images.astype(np.float32)
+    upstream = rng.normal(size=(n, 4, m, d)).astype(np.float32)
+
+    fleet = ClientSegment(*(Tensor(v, requires_grad=True) for v in params.values()))
+    smashed = client_forward(fleet, images, cfg)
+    backward(smashed, upstream)
+    for i in range(n):
+        own = [Tensor(v[i], requires_grad=True) for v in params.values()]
+        tokens = composite.client_forward(*own, images[i], cfg)
+        backward(tokens, upstream[i])
+        assert smashed.values[i].tobytes() == tokens.values.tobytes(), i
+        for name, fleet_param, param in zip(params, fleet.parameters().values(), own):
+            assert fleet_param.grad[i].tobytes() == param.grad.tobytes(), (i, name)
 
 
 def test_server_pass_matches_composite_attention_bit_for_bit(monkeypatch):
@@ -198,7 +227,7 @@ def test_client_forward_is_affine_in_image():
     alpha = 0.3
 
     def f(img):
-        return client_forward(client, img.astype(np.float32), TINY).values
+        return client_forward(client, img[None].astype(np.float32), TINY).values
 
     lhs = f(alpha * x) + f((1 - alpha) * x) - f(np.zeros_like(x))
     assert np.allclose(lhs, f(x), atol=1e-4)

@@ -30,6 +30,31 @@ def test_flat_adamw_matches_per_array_reference():
             assert np.array_equal(p.values, ref.values[name]), (step, name)
 
 
+def test_fleet_step_equals_per_client_steps_bit_for_bit():
+    # One AdamW over stacked (n, ...) leaves against n optimizers, one per
+    # client, over that client's rows; lr and weight decay vary by step.
+    n, rng = 5, np.random.default_rng(1)
+    shapes = {"patch_weight": (8, 12), "patch_bias": (8,), "pos_embed": (4, 8)}
+    fleet = {k: Tensor(rng.normal(0, 0.1, size=(n,) + s).astype(np.float32), requires_grad=True)
+             for k, s in shapes.items()}
+    own = [{k: Tensor(t.values[i].copy(), requires_grad=True) for k, t in fleet.items()}
+           for i in range(n)]
+    fleet_opt = AdamW(fleet, lr=1e-3, weight_decay=0.05)
+    own_opts = [AdamW(params, lr=1e-3, weight_decay=0.05) for params in own]
+    for step in range(5):
+        for name, tensor in fleet.items():
+            tensor.grad = rng.normal(0, 10.0 ** -step, size=tensor.shape).astype(np.float32)
+            for i in range(n):
+                own[i][name].grad = tensor.grad[i].copy()
+        for opt in [fleet_opt] + own_opts:
+            opt.lr = 1e-3 * (1.0 - 0.15 * step)
+            opt.step()
+            opt.zero_grads()
+        for i in range(n):
+            for name, tensor in fleet.items():
+                assert tensor.values[i].tobytes() == own[i][name].values.tobytes(), (step, i)
+
+
 def test_step_without_gradient_names_the_parameter():
     a = Tensor(np.ones(3, np.float32), requires_grad=True)
     b = Tensor(np.ones(2, np.float32), requires_grad=True)

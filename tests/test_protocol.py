@@ -9,19 +9,23 @@ import pytest
 
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, IngestionError, ProtocolError
-from splitmix.mixing import CutSmashed, generate_mask_set, sample_mixing_counts
-from splitmix.model import (ModelConfig, clone_client_segment, client_forward, init_parameters,
-                            load_checkpoint, save_checkpoint, segments_to_named, server_forward)
+from splitmix.mixing import CutSmashed, CutoutMasker, generate_mask_set, sample_mixing_counts
+from splitmix.model import (ClientSegment, ModelConfig, client_forward, fleet_of,
+                            init_parameters, load_checkpoint, save_checkpoint,
+                            segments_to_named, server_forward)
 from splitmix.optim import AdamW
 from splitmix import protocol
-from splitmix.protocol import (ClientState, MixGroup, RoundOptions, ServerState,
+from splitmix.protocol import (ClientFleet, MixGroup, RoundOptions, ServerState,
                                UploadCutSmashed, activation_bytes,
                                fedavg_client_segments, form_groups, mask_nbytes, one_hot,
                                payload_meter, route_gradients, run_round,
                                validate_upload)
 from splitmix.rng import RngHub
-from splitmix.tensor import Tensor, add, backward, cross_entropy, mul
+from splitmix.runner import _csv_row
+from splitmix.tensor import Tensor, _node, add, backward, cross_entropy, mul, reshape
 from splitmix.transcript import BinaryReader, TranscriptWriter, encode_mask, read_transcript
+
+import composite
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                   depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
@@ -29,15 +33,17 @@ CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
 
 def build_system(n_clients, seed=0, config=CFG):
     base_client, server_segment = init_parameters(config, seed)
-    clients = []
-    for cid in range(n_clients):
-        segment = clone_client_segment(base_client)
-        clients.append(ClientState(
-            client_id=cid, segment=segment,
-            optimizer=AdamW(segment.parameters(), lr=1e-3)))
+    segment = fleet_of(base_client, n_clients)
+    fleet = ClientFleet(segment=segment, optimizer=AdamW(segment.parameters(), lr=1e-3))
     server = ServerState(segment=server_segment,
                          optimizer=AdamW(server_segment.parameters(), lr=1e-3))
-    return clients, server
+    return fleet, server
+
+
+def one_client(segment, images, config=CFG):
+    """A fleet of one's ``(batch, M, d)`` tokens for ``(batch, C, H, W)`` images."""
+    tokens = client_forward(segment, images[None], config)
+    return reshape(tokens, tokens.shape[1:])
 
 
 def clear_grads(tensors):
@@ -105,32 +111,73 @@ class TestRouting:
             route_gradients(self.make_group(), np.zeros((1, 8, 4), np.float32), "multicast")
 
 
+def stacked(segments):
+    """One fleet whose rows are the given fleets' rows, in order."""
+    return ClientSegment(*(
+        Tensor(np.concatenate([s.parameters()[k].values for s in segments]), requires_grad=True)
+        for k in segments[0].parameters()))
+
+
+def random_fleet(n, seed):
+    rng = np.random.default_rng(seed)
+    client, _ = init_parameters(CFG, seed=seed)
+    return ClientSegment(*(Tensor(rng.normal(0, 0.3, size=(n,) + t.shape[1:]).astype(np.float32),
+                                  requires_grad=True) for t in client.parameters().values()))
+
+
+def per_name_fedavg(fleet):
+    """FedAvg as a float64 loop over the clients, name by name, in place."""
+    w = 1.0 / len(fleet)
+    for tensor in fleet.parameters().values():
+        acc = np.zeros_like(tensor.values[0], dtype=np.float64)
+        for row in tensor.values:
+            acc += w * row.astype(np.float64)
+        tensor.values[...] = acc.astype(np.float32)
+
+
 class TestFedAvg:
     def test_idempotent_on_identical_segments(self):
+        # Bit for bit: evaluation averages a fleet that a round just averaged.
         client, _ = init_parameters(CFG, seed=1)
-        merged = fedavg_client_segments([client, clone_client_segment(client)])
-        assert np.allclose(merged.patch_weight.values, client.patch_weight.values,
-                           atol=1e-7)
+        client.pos_embed.values = random_fleet(1, 1).pos_embed.values
+        for n in (2, 3, 64):
+            fleet = fleet_of(client, n)
+            fedavg_client_segments(fleet)
+            for name, tensor in fleet.parameters().items():
+                for row in tensor.values:
+                    assert row.tobytes() == client.parameters()[name].values[0].tobytes(), (n, name)
 
     def test_opposite_segments_cancel(self):
         client, _ = init_parameters(CFG, seed=2)
-        negated = clone_client_segment(client)
+        negated = fleet_of(client, 1)
         for tensor in negated.parameters().values():
             tensor.values = -tensor.values
-        merged = fedavg_client_segments([client, negated])
+        merged = stacked([client, negated])
+        fedavg_client_segments(merged)
         for tensor in merged.parameters().values():
             assert np.allclose(tensor.values, 0.0, atol=1e-7)
 
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_stacked_mean_equals_per_name_loop_bit_for_bit(self, n):
+        fleet, reference = random_fleet(n, seed=n), random_fleet(n, seed=n)
+        fedavg_client_segments(fleet)
+        per_name_fedavg(reference)
+        for name, tensor in fleet.parameters().items():
+            assert tensor.values.tobytes() == reference.parameters()[name].values.tobytes(), name
+
     def test_three_segment_mean_matches_scalar_loop(self):
         segments = [init_parameters(CFG, seed=s)[0] for s in (3, 4, 5)]
-        merged = fedavg_client_segments(segments)
+        merged = stacked(segments)
+        fedavg_client_segments(merged)
         for name in ("patch_weight", "patch_bias", "pos_embed"):
-            stacked = [seg.parameters()[name].values for seg in segments]
-            flat = merged.parameters()[name].values.reshape(-1)
+            stacked_rows = [seg.parameters()[name].values for seg in segments]
+            for row in merged.parameters()[name].values[1:]:
+                assert row.tobytes() == merged.parameters()[name].values[0].tobytes()
+            flat = merged.parameters()[name].values[0].reshape(-1)
             for i in range(flat.size):
                 expected = np.float32(
-                    (float(stacked[0].reshape(-1)[i]) + float(stacked[1].reshape(-1)[i])
-                     + float(stacked[2].reshape(-1)[i])) / 3.0)
+                    (float(stacked_rows[0].reshape(-1)[i]) + float(stacked_rows[1].reshape(-1)[i])
+                     + float(stacked_rows[2].reshape(-1)[i])) / 3.0)
                 assert flat[i] == pytest.approx(expected, abs=1e-7)
 
 
@@ -169,10 +216,10 @@ class TestPayloadMeter:
 
 class TestRunRound:
     def run(self, n, options, seed=0, batch=4):
-        clients, server = build_system(n, seed)
+        fleet, server = build_system(n, seed)
         batches = build_batches(n, batch, seed)
         hub = RngHub(seed)
-        return run_round(clients, server, batches, CFG, options, hub, 0)
+        return run_round(fleet, server, batches, CFG, options, hub, 0)
 
     def test_two_clients_two_way_single_server_step(self):
         metrics = self.run(2, RoundOptions(k_way=2, alpha=math.inf))
@@ -215,12 +262,12 @@ class TestRunRound:
         assert overhead == senders * (16 + 4 * 4 * 4)
 
     def test_unequal_batches_rejected(self):
-        clients, server = build_system(2)
+        fleet, server = build_system(2)
         batches = build_batches(2, 4)
         images, labels = batches[1]
         batches[1] = (images[:2], labels[:2])
         with pytest.raises(ContractError):
-            run_round(clients, server, batches, CFG, RoundOptions(), RngHub(0), 0)
+            run_round(fleet, server, batches, CFG, RoundOptions(), RngHub(0), 0)
 
     def test_expected_uplink_fraction_is_one_over_k(self):
         # Symmetric Dirichlet allocations: long-run activation fraction 1/k.
@@ -251,7 +298,7 @@ class TestGradientModes:
         rng = np.random.default_rng(9)
         clients, images = [], []
         for cid in range(2):
-            seg = clone_client_segment(base)
+            seg = fleet_of(base, 1)
             seg.patch_bias.requires_grad = False
             seg.pos_embed.requires_grad = False
             clients.append(seg)
@@ -269,7 +316,7 @@ class TestGradientModes:
         for mode in ("unicast", "broadcast"):
             smashed, cuts = [], []
             for cid in range(2):
-                s = client_forward(segments[cid], images[cid], config)
+                s = one_client(segments[cid], images[cid], config)
                 grid = np.repeat(masks[cid][:, None].astype(np.float32),
                                  config.embed_dim, axis=1)
                 smashed.append(s)
@@ -299,16 +346,16 @@ class TestGradientModes:
     def test_modes_differ_on_general_inputs(self):
         # Difference norm is reported, not asserted against a bound.
         config = CFG
-        clients, server = build_system(2, seed=5)
+        fleet, server = build_system(2, seed=5)
         batches = build_batches(2, 3, seed=5)
         norms = {}
         for mode in ("unicast", "broadcast"):
-            segment = clone_client_segment(clients[0].segment)
-            s = client_forward(segment, batches[0][0], config)
+            segment = fleet_of(fleet.segment.row(0), 1)
+            s = one_client(segment, batches[0][0], config)
             masks = generate_mask_set(np.array([2, 2]), 4, np.random.default_rng(12))
             grid = np.repeat(masks[0][:, None].astype(np.float32), config.embed_dim, 1)
             cut_t = mul(s, Tensor(grid))
-            other = client_forward(clients[1].segment, batches[1][0], config)
+            other = one_client(fleet.segment.row(1), batches[1][0], config)
             other_cut = other.values * np.repeat(masks[1][:, None], config.embed_dim, 1)
             inputs = Tensor(cut_t.values + other_cut, requires_grad=True)
             loss = cross_entropy(server_forward(server.segment, inputs, config),
@@ -336,11 +383,11 @@ class TestClientStep:
         round's transcript shows it received.
         """
         n, seed, sigma = 4, 7, 0.1
-        clients, server = build_system(n, seed)
+        fleet, server = build_system(n, seed)
         batches = build_batches(n, 3, seed)
         path = tmp_path / "round.bin"
         with open(path, "wb") as fh:
-            run_round(clients, server, batches, CFG,
+            run_round(fleet, server, batches, CFG,
                       RoundOptions(k_way=2, alpha=6.0, gradient_mode=mode,
                                    ktimes=ktimes, noise_x=sigma),
                       RngHub(seed), 0, transcript=TranscriptWriter(fh))
@@ -349,20 +396,103 @@ class TestClientStep:
         downs = {r["target"]: r for r in records if r["type"] == "gradient_down"}
         assert sorted(downs) == list(range(n))
 
-        replicas, _ = build_system(n, seed)
+        replicas = [build_system(1, seed)[0] for _ in range(n)]
         hub = RngHub(seed)
-        for state in replicas:
-            cid = state.client_id
-            smashed = client_forward(state.segment, batches[cid][0], CFG)
+        for cid, replica in enumerate(replicas):
+            smashed = one_client(replica.segment, batches[cid][0])
             noise = hub.noise(0, cid, 0).normal(0.0, sigma, size=smashed.shape)
             noisy = add(smashed, Tensor(noise.astype(np.float32)))
             grid = np.repeat(masks[cid][:, None].astype(np.float32), CFG.embed_dim, axis=1)
             carrier = noisy if downs[cid]["broadcast"] else mul(noisy, Tensor(grid))
             backward(carrier, downs[cid]["grad"])
-            state.optimizer.step()
-            trained = clients[cid].segment.parameters()
-            for name, tensor in state.segment.parameters().items():
-                assert tensor.values.tobytes() == trained[name].values.tobytes(), (cid, name)
+            replica.optimizer.step()
+            trained = fleet.segment.parameters()
+            for name, tensor in replica.segment.parameters().items():
+                assert tensor.values[0].tobytes() == trained[name].values[cid].tobytes(), (cid, name)
+
+
+class PerClientFleet:
+    """A fleet run as n separate clients, as it was before it was stacked.
+
+    Each client has its own leaves (views of its rows of the fleet's
+    arrays, so its steps land there), its own ``linear`` + ``add`` graph and
+    its own AdamW; FedAvg is the per-name float64 loop.  ``forward`` and
+    ``fedavg`` stand in for ``protocol``'s functions and the object itself
+    for the fleet's optimizer.
+    """
+
+    def __init__(self, fleet: ClientFleet):
+        opt = fleet.optimizer
+        self.segment = fleet.segment
+        self.rows = [{k: Tensor(t.values[i], requires_grad=True)
+                      for k, t in fleet.segment.parameters().items()}
+                     for i in range(len(fleet.segment))]
+        self.optimizers = [AdamW(row, lr=opt.lr, weight_decay=opt.weight_decay)
+                           for row in self.rows]
+
+    def forward(self, segment, images, config):
+        own = [composite.client_forward(*row.values(), images[i], config)
+               for i, row in enumerate(self.rows)]
+        return _node(np.stack([t.values for t in own]), own, lambda g: tuple(g))
+
+    def fedavg(self, segment):
+        per_name_fedavg(segment)
+
+    def step(self):
+        for opt in self.optimizers:
+            opt.step()
+
+    def zero_grads(self):
+        for opt in self.optimizers:
+            opt.zero_grads()
+
+
+class TestFleetMatchesPerClientReference:
+    CASES = {
+        "unicast": RoundOptions(k_way=2, alpha=6.0, gradient_mode="unicast", apply_fedavg=True),
+        "broadcast": RoundOptions(k_way=3, alpha=6.0, gradient_mode="broadcast", shuffle=True),
+        "ktimes": RoundOptions(k_way=2, alpha=6.0, gradient_mode="broadcast", ktimes=True),
+        "ktimes_unicast": RoundOptions(k_way=3, alpha=6.0, ktimes=True, apply_fedavg=True),
+        "cutout": RoundOptions(k_way=1),
+        "noise": RoundOptions(k_way=2, alpha=6.0, noise_x=0.1, noise_y=0.05, shuffle=True,
+                              apply_fedavg=True),
+    }
+
+    def run(self, tmp_path, case, reference, monkeypatch):
+        n, seed, rounds = 6, 11, 3
+        fleet, server = build_system(n, seed)
+        if case == "cutout":
+            hub = RngHub(seed)
+            fleet.maskers = [CutoutMasker(0.5, "per_iteration", CFG.tokens, hub.masks(cid, 0, 1))
+                             for cid in range(n)]
+        if reference:
+            per_client = PerClientFleet(fleet)
+            monkeypatch.setattr(protocol, "client_forward", per_client.forward)
+            monkeypatch.setattr(protocol, "fedavg_client_segments", per_client.fedavg)
+            fleet.optimizer = per_client
+        data = make_synthetic(rounds * n * 3, CFG.num_classes, CFG.image_size, seed,
+                              channels=CFG.channels)
+        path = tmp_path / f"{case}_{reference}.bin"
+        rows = []
+        with open(path, "wb") as fh:
+            for r in range(rounds):
+                batches = {cid: (data.images[(r * n + cid) * 3:(r * n + cid + 1) * 3],
+                                 data.labels[(r * n + cid) * 3:(r * n + cid + 1) * 3])
+                           for cid in range(n)}
+                metrics = run_round(fleet, server, batches, CFG, self.CASES[case], RngHub(seed),
+                                    r, transcript=TranscriptWriter(fh))
+                rows.append(_csv_row(metrics, n))
+        monkeypatch.undo()
+        params = {k: t.values.tobytes() for k, t in fleet.segment.parameters().items()}
+        return rows, path.read_bytes(), params
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_transcript_and_parameters_equal(self, tmp_path, monkeypatch, case):
+        rows, transcript, params = self.run(tmp_path, case, False, monkeypatch)
+        ref_rows, ref_transcript, ref_params = self.run(tmp_path, case, True, monkeypatch)
+        assert rows == ref_rows
+        assert transcript == ref_transcript
+        assert params == ref_params
 
 
 class TestDegenerateEquivalence:
@@ -373,12 +503,12 @@ class TestDegenerateEquivalence:
         data = make_synthetic(rounds * 4, config.num_classes, config.image_size, 17,
                               channels=config.channels)
 
-        clients, server = build_system(1, seed=21)
+        fleet, server = build_system(1, seed=21)
         hub = RngHub(21)
         split_losses = []
         for r in range(rounds):
             batch = {0: (data.images[r * 4:(r + 1) * 4], data.labels[r * 4:(r + 1) * 4])}
-            metrics = run_round(clients, server, batch, config,
+            metrics = run_round(fleet, server, batch, config,
                                 RoundOptions(k_way=1), hub, r)
             split_losses.append(metrics.train_loss)
 
@@ -389,8 +519,7 @@ class TestDegenerateEquivalence:
         for r in range(rounds):
             images = data.images[r * 4:(r + 1) * 4]
             labels = one_hot(data.labels[r * 4:(r + 1) * 4], config.num_classes)
-            logits = server_forward(ref_server, client_forward(ref_client, images, config),
-                                    config)
+            logits = server_forward(ref_server, one_client(ref_client, images, config), config)
             loss = cross_entropy(logits, Tensor(labels))
             backward(loss)
             opt_s.step()
@@ -405,10 +534,10 @@ class TestDegenerateEquivalence:
 class TestTranscript:
     def test_round_trip_and_step_counts(self, tmp_path):
         path = tmp_path / "round.bin"
-        clients, server = build_system(10, seed=2)
+        fleet, server = build_system(10, seed=2)
         batches = build_batches(10, 2, seed=2)
         with open(path, "wb") as fh:
-            run_round(clients, server, batches, CFG,
+            run_round(fleet, server, batches, CFG,
                       RoundOptions(k_way=2, alpha=6.0), RngHub(2), 0,
                       transcript=TranscriptWriter(fh))
         records = read_transcript(path)
@@ -424,10 +553,10 @@ class TestTranscript:
 
     def test_ktimes_transcript_shows_n_steps(self, tmp_path):
         path = tmp_path / "ktimes.bin"
-        clients, server = build_system(10, seed=3)
+        fleet, server = build_system(10, seed=3)
         batches = build_batches(10, 2, seed=3)
         with open(path, "wb") as fh:
-            run_round(clients, server, batches, CFG,
+            run_round(fleet, server, batches, CFG,
                       RoundOptions(k_way=2, alpha=6.0, ktimes=True), RngHub(3), 0,
                       transcript=TranscriptWriter(fh))
         records = read_transcript(path)
@@ -463,10 +592,10 @@ class TestTranscript:
         blobs = []
         for run in range(2):
             path = tmp_path / f"t{run}.bin"
-            clients, server = build_system(4, seed=5)
+            fleet, server = build_system(4, seed=5)
             batches = build_batches(4, 2, seed=5)
             with open(path, "wb") as fh:
-                run_round(clients, server, batches, CFG,
+                run_round(fleet, server, batches, CFG,
                           RoundOptions(k_way=2, alpha=6.0, shuffle=True), RngHub(5), 0,
                           transcript=TranscriptWriter(fh))
             blobs.append(path.read_bytes())
@@ -482,9 +611,9 @@ def test_malformed_files_load_or_raise_ingestion_error(tmp_path, kind):
         save_checkpoint(path, segments_to_named(*init_parameters(CFG, seed=8)))
         load = load_checkpoint
     else:
-        clients, server = build_system(2, seed=1)
+        fleet, server = build_system(2, seed=1)
         with open(path, "wb") as fh:
-            run_round(clients, server, build_batches(2, 1, seed=1), CFG,
+            run_round(fleet, server, build_batches(2, 1, seed=1), CFG,
                       RoundOptions(k_way=2, alpha=6.0), RngHub(1), 0,
                       transcript=TranscriptWriter(fh))
         load = read_transcript

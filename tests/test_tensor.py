@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from splitmix.errors import ContractError, DimensionError
 from splitmix.optim import AdamW
-from splitmix.tensor import (Tensor, add, attention, backward, concat, cross_entropy,
+from splitmix.tensor import (Tensor, add, attention, backward, concat, cross_entropy, embed,
                              expand_batch, gelu, layer_norm, linear, mean, mul, no_grad,
                              reshape, scale, slice_rows)
 
@@ -111,23 +111,24 @@ class TestBackward:
         assert hidden.grad is None and act.grad is None
 
     def test_seeded_client_graph_matches_finite_differences(self):
-        # A client's step: linear patch embedding plus a positional table,
-        # seeded with an upstream gradient at the (batch, M, d) output.
+        # The fleet's client step: per-client patch embedding plus positional
+        # table, seeded with an upstream gradient at the (n, batch, M, d) output.
         rng = np.random.default_rng(13)
-        x64 = rng.normal(0, 1, size=(2, 3, 5))
-        params64 = {"w": rng.normal(0, 0.5, size=(4, 5)), "b": rng.normal(0, 0.1, size=(4,)),
-                    "pos": rng.normal(0, 0.1, size=(3, 4))}
-        upstream = rng.normal(0, 1, size=(2, 3, 4))
+        x64 = rng.normal(0, 1, size=(2, 2, 3, 5))
+        params64 = {"w": rng.normal(0, 0.5, size=(2, 4, 5)),
+                    "b": rng.normal(0, 0.1, size=(2, 4)),
+                    "pos": rng.normal(0, 0.1, size=(2, 3, 4))}
+        upstream = rng.normal(0, 1, size=(2, 2, 3, 4))
 
         def ref_loss():
-            out = x64 @ params64["w"].T + params64["b"] + params64["pos"]
+            out = (np.einsum("nbmp,ndp->nbmd", x64, params64["w"])
+                   + params64["b"][:, None, None] + params64["pos"][:, None])
             return (out * upstream).sum()
 
         expected = central_difference(ref_loss, params64, h=1e-3)
         tensors = {k: Tensor(v.astype(np.float32), requires_grad=True)
                    for k, v in params64.items()}
-        smashed = add(linear(Tensor(x64.astype(np.float32)), tensors["w"], tensors["b"]),
-                      tensors["pos"])
+        smashed = embed(x64.astype(np.float32), tensors["w"], tensors["b"], tensors["pos"])
         backward(smashed, upstream.astype(np.float32))
         for name, tensor in tensors.items():
             assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
@@ -308,6 +309,22 @@ class TestNoGrad:
             assert not scale(w, 2.0).requires_grad
         backward(mean(scale(w, 2.0)))
         assert np.allclose(w.grad, 2.0 / 3.0)
+
+
+def test_embed_rejects_mismatched_shapes():
+    def leaf(*shape):
+        return Tensor(np.zeros(shape, np.float32), requires_grad=True)
+
+    patches = np.zeros((2, 3, 4, 5), np.float32)
+    good = dict(weight=leaf(2, 6, 5), bias=leaf(2, 6), pos=leaf(2, 4, 6))
+    assert embed(patches, **good).shape == (2, 3, 4, 6)
+    for key, bad in (("weight", leaf(6, 5)), ("weight", leaf(1, 6, 5)), ("weight", leaf(2, 6, 4)),
+                     ("bias", leaf(6)), ("bias", leaf(2, 5)), ("pos", leaf(4, 6)),
+                     ("pos", leaf(2, 3, 6))):
+        with pytest.raises(DimensionError):
+            embed(patches, **{**good, key: bad})
+    with pytest.raises(DimensionError):
+        embed(patches[0], **good)
 
 
 def test_linear_rejects_mismatched_shapes():
