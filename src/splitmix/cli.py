@@ -67,7 +67,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train":
             summary = runner.run_experiment(cfg)
             acc = summary["best_top1"]
-            print(f"done: rounds={summary['rounds']} best_top1={acc:.4f} "
+            best = "none (no evaluation ran)" if acc is None else f"{acc:.4f}"
+            print(f"done: rounds={summary['rounds']} best_top1={best} "
                   f"uplink_bytes={summary['total_uplink_bytes']}")
         else:
             result = runner.run_attack_suite(cfg)

@@ -38,8 +38,8 @@ class CutMixBatch:
 
 def _validate_mask(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask)
-    if mask.ndim != 1 or not ((mask == 0) | (mask == 1)).all():
-        raise ContractError("mask must be a 1-d 0/1 vector")
+    if mask.ndim == 0 or not ((mask == 0) | (mask == 1)).all():
+        raise ContractError("mask must be a 0/1 array")
     return mask.astype(np.uint8)
 
 
@@ -104,13 +104,21 @@ def generate_mask_set(allocation: np.ndarray, tokens: int,
 
 def cut(tokens: np.ndarray, mask: np.ndarray,
         client_id: int | None = None) -> CutSmashed:
-    """Zero the token rows whose mask bit is 0; the input is untouched."""
+    """Zero the token rows whose mask bit is 0; the input is untouched.
+
+    ``tokens`` is ``(..., M, d)``.  ``mask`` is a length-M 0/1 vector, or a
+    stack of them that broadcasts over the leading axes: ``(n, 1, M)`` cuts
+    an ``(n, batch, M, d)`` fleet with one mask per client.
+    """
     mask = _validate_mask(mask)
     tokens = np.asarray(tokens, dtype=np.float32)
-    if tokens.ndim < 2 or tokens.shape[-2] != mask.shape[0]:
-        raise DimensionError(
-            f"mask length {mask.shape[0]} does not match token rows {tokens.shape}")
-    kept = tokens * mask[:, None].astype(np.float32)
+    lead = tokens.shape[:-2]
+    if mask.ndim > len(lead) + 1:
+        raise ContractError(f"a {mask.ndim}-d mask cannot cut {tokens.ndim}-d token rows")
+    if (tokens.ndim < 2 or tokens.shape[-2] != mask.shape[-1]
+            or any(m not in (1, t) for m, t in zip(mask.shape[-2::-1], lead[::-1]))):
+        raise DimensionError(f"mask of shape {mask.shape} does not fit token rows {tokens.shape}")
+    kept = tokens * mask[..., None].astype(np.float32)
     return CutSmashed(tokens=kept, mask=mask, client_id=client_id)
 
 
@@ -126,6 +134,8 @@ def cutmix_assemble(parts: list[CutSmashed], labels: list[np.ndarray],
     claimed = np.zeros(tokens, dtype=np.int64)
     for part in parts:
         mask = _validate_mask(part.mask)
+        if mask.shape != claimed.shape:
+            raise DimensionError(f"mask of shape {mask.shape} in a {tokens}-token group")
         overlap = (claimed > 0) & (mask > 0)
         if overlap.any():
             who = "?" if part.client_id is None else part.client_id
@@ -212,9 +222,8 @@ class CutoutMasker:
         self._mask: np.ndarray | None = None
 
     def _draw(self) -> np.ndarray:
-        mask = np.zeros(self.tokens, dtype=np.uint8)
-        mask[self.rng.permutation(self.tokens)[:self.count]] = 1
-        return mask
+        return generate_mask_set([self.count, self.tokens - self.count], self.tokens,
+                                 self.rng)[0]
 
     def next_mask(self) -> np.ndarray:
         if self.mode == "fixed":

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import (Tensor, add, attention, concat, embed, expand_batch, gelu, layer_norm,
                      linear, reshape, slice_rows)
+from .transcript import BinaryReader
 
 
 @dataclass(frozen=True)
@@ -273,8 +274,6 @@ def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    from .transcript import BinaryReader  # transcript -> protocol -> model
-
     reader = BinaryReader.from_file(path)
     if reader.take(4, "magic") != _CKPT_MAGIC:
         reader.fail("not a checkpoint file (bad magic)", 0)

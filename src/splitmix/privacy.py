@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ContractError
-from .mixing import generate_mask_set, keep_count, manifold_mixup, sample_mixing_counts
+from .mixing import cut, generate_mask_set, keep_count, manifold_mixup, sample_mixing_counts
 from .model import ClientSegment, ModelConfig, client_forward
 from .optim import AdamW
 from .rng import STREAM_ATTACK, stream_generator
@@ -80,15 +80,14 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
     elif name == "cutsmashed":
         # One client's upload under the 2-way protocol: the kept-row count
         # follows the same Dirichlet draw unless a fixed ratio is forced.
-        feats = smashed.copy()
+        masks = np.empty((n, tokens), dtype=np.uint8)
         for i in range(n):
             if config.keep_ratio is None:
                 kept = int(sample_mixing_counts(2, config.cutmix_alpha, tokens, rng)[0])
             else:
                 kept = keep_count(config.keep_ratio, tokens)
-            mask = np.zeros(tokens, dtype=bool)
-            mask[rng.permutation(tokens)[:kept]] = True
-            feats[i, ~mask, :] = 0.0
+            masks[i] = generate_mask_set([kept, tokens - kept], tokens, rng)[0]
+        feats = cut(smashed, masks).tokens
     elif name in ("mixup", "patch_cutmix", "shuffled_cutmix"):
         # Pair each sample with a distinct partner via a random cyclic order.
         order = rng.permutation(n)

@@ -7,10 +7,12 @@ group, or per member under ktimes), gradient download (unicast or
 broadcast) with one message per client, client backward + step, optional
 federated averaging of the client segments.
 
-The n clients are one stacked fleet: a round runs one client forward over
-all of them, one backward, one optimizer step and, when averaging is on,
-one FedAvg over the fleet axis.  Each client's rows compute exactly what
-its own forward, backward and step would.
+The n clients are one stacked fleet, and the round works on fleet arrays:
+one client forward over all of them, one ``(n, M)`` mask array, one cut,
+one backward, one optimizer step and, when averaging is on, one FedAvg
+over the fleet axis.  Each client's rows compute exactly what its own
+forward, cut, backward and step would.  Only mixing and the server passes
+go group by group.
 
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
@@ -42,27 +44,8 @@ FLOAT_BYTES = 4
 
 
 # ---------------------------------------------------------------------------
-# Messages and payload accounting
+# Payload accounting
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SequenceAssignment:
-    client_id: int
-    mask: np.ndarray
-
-
-@dataclass
-class UploadCutSmashed:
-    client_id: int
-    cut: CutSmashed
-    label: np.ndarray  # (batch, classes) probability rows
-
-
-@dataclass
-class ServerBatch:
-    group_id: int
-    cutmix: CutMixBatch
-
 
 @dataclass
 class GradientDown:
@@ -72,61 +55,37 @@ class GradientDown:
     broadcast: bool = False
 
 
-def mask_nbytes(length: int) -> int:
-    """Wire size of a length-bit mask: one 64-bit word while length <= 64,
-    else ceil(length / 8) bytes."""
-    return 8 if length <= 64 else (length + 7) // 8
+def upload_bytes(rows, batch: int, dim: int, classes: int) -> np.ndarray:
+    """Wire size of an upload of ``rows`` token rows per sample: the rows,
+    the batch's label rows and a fixed header.  A client with a zero
+    allocation transmits nothing at all.  ``rows`` may be an array of
+    per-client counts."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return np.where(rows > 0, (rows * dim + classes) * batch * FLOAT_BYTES + HEADER_BYTES, 0)
 
 
-def activation_bytes(msg: UploadCutSmashed) -> int:
-    """Transmitted activation payload: a_i * d * 4 * batch (0 if nothing sent)."""
-    kept = int(msg.cut.mask.sum())
-    if kept == 0:
-        return 0
-    batch, _, dim = msg.cut.tokens.shape
-    return kept * dim * FLOAT_BYTES * batch
+def payload_meter(msg: GradientDown) -> int:
+    """Size in bytes of a gradient message: the rows it carries plus the header."""
+    batch, _, dim = msg.grad.shape
+    return msg.rows * dim * FLOAT_BYTES * batch + HEADER_BYTES
 
 
-def payload_meter(msg) -> int:
-    """Size in bytes of one message on the wire.
+def validate_upload(tokens: np.ndarray, masks: np.ndarray) -> None:
+    """Enforce that untransmitted rows are exactly zero before metering.
 
-    Uploads count only transmitted rows plus the label rows and a fixed
-    header; a client with a zero allocation transmits nothing at all.
-    Gradients count the rows they carry plus the header.  A mask's size is
-    ``mask_nbytes``.
+    Row i of the ``(n, batch, M, d)`` uploads is client i's, cut by row i of
+    the ``(n, M)`` masks; the first client that leaks is named.
     """
-    if isinstance(msg, UploadCutSmashed):
-        act = activation_bytes(msg)
-        if act == 0:
-            return 0
-        batch = msg.cut.tokens.shape[0]
-        classes = msg.label.shape[-1]
-        return act + HEADER_BYTES + classes * FLOAT_BYTES * batch
-    if isinstance(msg, GradientDown):
-        batch, _, dim = msg.grad.shape
-        return msg.rows * dim * FLOAT_BYTES * batch + HEADER_BYTES
-    raise ContractError(f"unmeterable message type {type(msg).__name__}")
-
-
-def validate_upload(msg: UploadCutSmashed) -> None:
-    """Enforce that untransmitted rows are exactly zero before metering."""
-    off = msg.cut.mask == 0
-    if off.any() and np.any(msg.cut.tokens[:, off, :]):
+    sent = np.any(tokens != 0, axis=(1, 3))
+    leaks = (sent & (masks == 0)).any(axis=1)
+    if leaks.any():
         raise ProtocolError(
-            f"client {msg.client_id} uploaded nonzero data at a masked-out position")
+            f"client {int(np.argmax(leaks))} uploaded nonzero data at a masked-out position")
 
 
 # ---------------------------------------------------------------------------
 # Groups and gradient routing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class MixGroup:
-    group_id: int
-    members: list[int]
-    allocation: np.ndarray | None = None
-    mask_set: np.ndarray | None = None
-
 
 def form_groups(clients, k: int, rng: np.random.Generator) -> list[list[int]]:
     """Random disjoint groups of size k covering all clients.
@@ -147,19 +106,19 @@ def form_groups(clients, k: int, rng: np.random.Generator) -> list[list[int]]:
     return groups
 
 
-def route_gradients(group: MixGroup, grad_wrt_cutmix: np.ndarray,
+def route_gradients(members: list[int], masks: np.ndarray, grad_wrt_cutmix: np.ndarray,
                     mode: str) -> list[GradientDown]:
-    """Unicast sends each member only its own mask's rows; broadcast sends all."""
+    """One message per member.  Unicast sends each member only the rows of
+    its own mask (``masks`` holds the members' masks in order); broadcast
+    sends all rows."""
     if mode == "unicast":
-        downs = []
-        for member, mask in zip(group.members, group.mask_set):
-            masked = grad_wrt_cutmix * mask[:, None].astype(np.float32)
-            downs.append(GradientDown(target=member, grad=masked, rows=int(mask.sum())))
-        return downs
+        return [GradientDown(target=member, rows=int(mask.sum()),
+                             grad=grad_wrt_cutmix * mask[:, None].astype(np.float32))
+                for member, mask in zip(members, masks)]
     if mode == "broadcast":
         rows = grad_wrt_cutmix.shape[-2]
         return [GradientDown(target=member, grad=grad_wrt_cutmix, rows=rows, broadcast=True)
-                for member in group.members]
+                for member in members]
     raise ContractError(f"unknown gradient mode {mode!r}")
 
 
@@ -219,105 +178,51 @@ class RoundMetrics:
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float32)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    """Probability rows, ``(..., num_classes)``, for integer labels of any shape."""
+    return np.eye(num_classes, dtype=np.float32)[np.asarray(labels, dtype=np.int64)]
 
 
-def _full_mask(tokens: int) -> np.ndarray:
-    return np.ones(tokens, dtype=np.uint8)
-
-
-def run_round(fleet: ClientFleet, server: ServerState,
-              batches: dict[int, tuple[np.ndarray, np.ndarray]],
-              model_config: ModelConfig, options: RoundOptions, hub: RngHub,
-              round_index: int, transcript=None) -> RoundMetrics:
+def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
+              labels: np.ndarray, model_config: ModelConfig, options: RoundOptions,
+              hub: RngHub, round_index: int, transcript=None) -> RoundMetrics:
     """Execute one synchronous training round and return its metrics.
 
-    ``batches`` maps each client id to its ``(images, labels)`` batch.
+    ``images`` is ``(n, batch, C, H, W)`` and ``labels`` is ``(n, batch)``:
+    row i is client i's batch.
     """
-    tokens = model_config.tokens
-    num_classes = model_config.num_classes
-    ids = range(len(fleet.segment))
-    batch_sizes = {cid: batches[cid][0].shape[0] for cid in ids}
-    if len(set(batch_sizes.values())) > 1:
-        raise ContractError(f"clients hold unequal batch sizes: {batch_sizes}")
-
-    if transcript is not None:
-        transcript.round_start(round_index)
-
-    member_lists = form_groups(ids, options.k_way, hub.groups(round_index))
-    groups = [MixGroup(gid, members) for gid, members in enumerate(member_lists)]
-
-    activation_total = 0
-    uplink = {cid: 0 for cid in ids}
-    losses: list[float] = []
+    n, tokens = len(fleet.segment), model_config.tokens
+    if images.shape[0] != n or np.shape(labels) != images.shape[:2]:
+        raise ContractError(f"a fleet of {n} needs (n, batch, ...) images and (n, batch) "
+                            f"labels, got {images.shape} and {np.shape(labels)}")
+    groups = form_groups(range(n), options.k_way, hub.groups(round_index))
 
     # --- clients: one forward for the fleet; the graph ends at the smashed data
-    smashed = client_forward(fleet.segment, np.stack([batches[cid][0] for cid in ids]),
-                             model_config)
+    smashed = client_forward(fleet.segment, images, model_config)
 
-    # --- mixer: sequence generation; clients: cut, upload ----------------
-    uploads: dict[int, UploadCutSmashed] = {}
-    for group in groups:
-        k_here = len(group.members)
-        if k_here == 1 and fleet.maskers is not None:
-            mask_set = fleet.maskers[group.members[0]].next_mask()[None, :]
-            allocation = np.array([int(mask_set[0].sum())], dtype=np.int64)
-        elif k_here == 1:
-            mask_set = _full_mask(tokens)[None, :]
-            allocation = np.array([tokens], dtype=np.int64)
-        else:
+    # --- mixer: sequence generation, one mask per client, group by group --
+    masks = np.ones((n, tokens), dtype=np.uint8)
+    for gid, members in enumerate(groups):
+        if len(members) > 1:
             allocation = sample_mixing_counts(
-                k_here, options.alpha, tokens, hub.allocations(round_index, group.group_id))
-            mask_set = generate_mask_set(
-                allocation, tokens, hub.masks(round_index, group.group_id))
-        group.allocation = allocation
-        group.mask_set = mask_set
+                len(members), options.alpha, tokens, hub.allocations(round_index, gid))
+            masks[members] = generate_mask_set(allocation, tokens, hub.masks(round_index, gid))
+        elif fleet.maskers is not None:
+            masks[members[0]] = fleet.maskers[members[0]].next_mask()
 
-        for member, mask in zip(group.members, mask_set):
-            assignment = SequenceAssignment(client_id=member, mask=mask)
-            if transcript is not None:
-                transcript.sequence(assignment)
-            values = smashed.values[member]
-            if options.noise_x > 0:
-                values = add_gaussian_noise(values, options.noise_x,
-                                            hub.noise(round_index, member, 0))
-            label_rows = one_hot(batches[member][1], num_classes)
-            if options.noise_y > 0:
-                label_rows = add_label_noise(label_rows, options.noise_y,
-                                             hub.noise(round_index, member, 1))
-            upload = UploadCutSmashed(
-                client_id=member,
-                cut=cut(values, mask, member),
-                label=label_rows)
-            validate_upload(upload)
-            uploads[member] = upload
-            activation_total += activation_bytes(upload)
-            uplink[member] = payload_meter(upload)
-            if transcript is not None:
-                transcript.upload(upload)
-
-    # --- mixer: assemble (and optionally shuffle) each group's batch -----
-    assembled: dict[int, tuple[CutMixBatch, np.ndarray | None]] = {}
-    for group in groups:
-        parts = [uploads[m].cut for m in group.members]
-        labels = [uploads[m].label for m in group.members]
-        if len(parts) == 1:
-            mixed = CutMixBatch(tokens=parts[0].tokens, soft_label=labels[0])
-        else:
-            mixed = cutmix_assemble(parts, labels, group.allocation, tokens)
-        perms = None
-        if options.shuffle:
-            mixed, perms = shuffle_tokens(mixed, hub.shuffles(round_index, group.group_id))
-        assembled[group.group_id] = (mixed, perms)
-        batch_msg = ServerBatch(group_id=group.group_id, cutmix=mixed)
-        if transcript is not None:
-            transcript.server_batch(batch_msg)
-
-    # --- server: forward, loss, backward, step; route gradients ----------
-    deliveries: dict[int, GradientDown] = {}
+    # --- clients: noise, cut and upload, metered from the mask sums -------
+    values = smashed.values
+    label_rows = one_hot(labels, model_config.num_classes)
+    if options.noise_x > 0:
+        values = np.stack([add_gaussian_noise(v, options.noise_x, hub.noise(round_index, cid, 0))
+                           for cid, v in enumerate(values)])
+    if options.noise_y > 0:
+        label_rows = np.stack([add_label_noise(y, options.noise_y, hub.noise(round_index, cid, 1))
+                               for cid, y in enumerate(label_rows)])
+    uploads = cut(values, masks[:, None]).tokens
+    validate_upload(uploads, masks)
+    kept = masks.sum(axis=1)
+    batch, dim = uploads.shape[1], uploads.shape[-1]
+    uplink = upload_bytes(kept, batch, dim, model_config.num_classes).tolist()
 
     def server_pass(mixed: CutMixBatch) -> tuple[float, np.ndarray]:
         inputs = Tensor(mixed.tokens, requires_grad=True)
@@ -326,47 +231,52 @@ def run_round(fleet: ClientFleet, server: ServerState,
         backward(loss)
         return float(loss.values), inputs.grad
 
-    for group in groups:
-        mixed, perms = assembled[group.group_id]
+    # --- per group: the mixer assembles (and optionally shuffles) its batch;
+    # the server runs forward, loss, backward and step, and routes gradients
+    losses: list[float] = []
+    mixed_batches: list[CutMixBatch] = []
+    passes: list[tuple[int, list[GradientDown]]] = []  # (group id, messages) per pass
+    for gid, members in enumerate(groups):
+        if len(members) == 1:
+            mixed = CutMixBatch(tokens=uploads[members[0]], soft_label=label_rows[members[0]])
+        else:
+            mixed = cutmix_assemble([CutSmashed(uploads[m], masks[m], m) for m in members],
+                                    [label_rows[m] for m in members], kept[members], tokens)
+        perms = None
+        if options.shuffle:
+            mixed, perms = shuffle_tokens(mixed, hub.shuffles(round_index, gid))
+        mixed_batches.append(mixed)
         # Each pass runs the server once, steps it once, and routes its
         # gradient to the pass's members.  ktimes makes one pass per member,
-        # over that member's row of the group, so the server updates n times
+        # routed under that member's mask, so the server updates n times
         # per round and each member receives one gradient.
-        passes = ([MixGroup(group.group_id, [m], mask_set=group.mask_set[i:i + 1])
-                   for i, m in enumerate(group.members)] if options.ktimes else [group])
-        for pass_group in passes:
+        for pass_members in ([[m] for m in members] if options.ktimes else [members]):
             loss_value, grad_in = server_pass(mixed)
             server.optimizer.step()
             server.optimizer.zero_grads()
-            if transcript is not None:
-                transcript.server_step(group.group_id)
             if perms is not None:
                 grad_in = unshuffle_grid(grad_in, perms)
-            for down in route_gradients(pass_group, grad_in, options.gradient_mode):
-                deliveries[down.target] = down
-                if transcript is not None:
-                    transcript.gradient_down(down)
+            passes.append((gid, route_gradients(pass_members, masks[pass_members], grad_in,
+                                                options.gradient_mode)))
             losses.append(loss_value)
 
     # --- clients: seed each row of the smashed data with its gradient ----
-    backward(smashed, np.stack([deliveries[cid].grad for cid in ids]))
+    received = {down.target: down.grad for _, downs in passes for down in downs}
+    backward(smashed, np.stack([received[cid] for cid in range(n)]))
     fleet.optimizer.step()
     fleet.optimizer.zero_grads()
-    if transcript is not None:
-        for cid in deliveries:
-            transcript.client_step(cid)
 
     if options.apply_fedavg:
         fedavg_client_segments(fleet.segment)
 
-    total_uplink = int(sum(uplink.values()))
     metrics = RoundMetrics(
         round_index=round_index,
-        client_uplink_bytes=uplink,
-        total_uplink_bytes=total_uplink,
-        total_activation_bytes=activation_total,
+        client_uplink_bytes=dict(enumerate(uplink)),
+        total_uplink_bytes=sum(uplink),
+        total_activation_bytes=int(kept.sum()) * dim * FLOAT_BYTES * batch,
         server_updates=len(losses),  # one step per server pass
-        train_loss=float(np.mean(losses)) if losses else float("nan"))
+        train_loss=float(np.mean(losses)))
     if transcript is not None:
-        transcript.round_end(round_index, total_uplink)
+        transcript.write_round(round_index, groups, masks, uploads, label_rows,
+                               mixed_batches, passes, metrics.total_uplink_bytes)
     return metrics

@@ -90,8 +90,9 @@ class TrainingSystem:
                 f"batch of {cfg.batch_size}")
         self._epoch_order: tuple[int, list[np.ndarray]] = (-1, [])
 
-    def batches_for(self, epoch: int, round_in_epoch: int) -> dict:
-        """Each client's batch: the next slice of its shard in this epoch's
+    def batches_for(self, epoch: int, round_in_epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The fleet's ``(n, batch, C, H, W)`` images and ``(n, batch)``
+        labels.  Row i is the next slice of client i's shard in this epoch's
         order, which is drawn once per epoch."""
         if self._epoch_order[0] != epoch:
             self._epoch_order = (epoch, [
@@ -100,8 +101,7 @@ class TrainingSystem:
         start = round_in_epoch * self.cfg.batch_size
         take = np.stack([order[start:start + self.cfg.batch_size]
                          for order in self._epoch_order[1]])
-        images, labels = self.train.images[take], self.train.labels[take]
-        return {cid: (images[cid], labels[cid]) for cid in range(len(take))}
+        return self.train.images[take], self.train.labels[take]
 
     def round_options(self, apply_fedavg: bool) -> RoundOptions:
         cfg = self.cfg
@@ -176,10 +176,10 @@ def train_rounds(system: TrainingSystem, transcript=None):
             last_of_epoch = r == per_epoch - 1
             apply_fedavg = cfg.fedavg_enabled and (
                 cfg.fedavg_cadence == "round" or last_of_epoch)
-            metrics = run_round(system.fleet, system.server,
-                                system.batches_for(epoch, r), system.model_cfg,
-                                system.round_options(apply_fedavg), system.hub,
-                                global_round, transcript)
+            images, labels = system.batches_for(epoch, r)
+            metrics = run_round(system.fleet, system.server, images, labels,
+                                system.model_cfg, system.round_options(apply_fedavg),
+                                system.hub, global_round, transcript)
             yield epoch, last_of_epoch, metrics
 
 
@@ -199,7 +199,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     transcript_fh = open(transcript_path, "wb") if cfg.write_transcript else None
     transcript = TranscriptWriter(transcript_fh) if transcript_fh else None
 
-    best_acc = 0.0
+    best_acc = None
     final_acc = None
     total_uplink = 0
     total_activation = 0
@@ -213,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 if last_of_epoch and (epoch + 1) % cfg.eval_every == 0:
                     acc = evaluate(system, test)
                     metrics.eval_accuracy = acc
-                    best_acc = max(best_acc, acc)
+                    best_acc = acc if best_acc is None else max(best_acc, acc)
                     final_acc = acc
                 writer.writerow(_csv_row(metrics, cfg.n_clients))
                 total_uplink += metrics.total_uplink_bytes

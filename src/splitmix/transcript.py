@@ -9,8 +9,8 @@ File layout:
   record: u8 tag | u32 payload length | payload
 
 Masks are packed LSB-first within each byte into ceil(M/8) bytes, padded
-to 8 bytes (one little-endian 64-bit integer) when M <= 64, matching the
-payload meter's accounting (``protocol.mask_nbytes``).
+to 8 bytes (one little-endian 64-bit integer) when M <= 64: a mask's wire
+size is ``mask_nbytes``.
 
 There is no end-of-file record: a file cut exactly at a record boundary
 reads as a shorter transcript.
@@ -25,8 +25,6 @@ from typing import BinaryIO, NoReturn
 import numpy as np
 
 from .errors import IngestionError
-from .protocol import (GradientDown, SequenceAssignment, ServerBatch, UploadCutSmashed,
-                       mask_nbytes)
 
 _MAGIC = b"SMXT"
 _VERSION = 1
@@ -39,6 +37,12 @@ TAG_GRAD_DOWN = 5
 TAG_SERVER_STEP = 6
 TAG_CLIENT_STEP = 7
 TAG_ROUND_END = 8
+
+
+def mask_nbytes(length: int) -> int:
+    """Wire size of a length-bit mask: one 64-bit word while length <= 64,
+    else ceil(length / 8) bytes."""
+    return 8 if length <= 64 else (length + 7) // 8
 
 
 def encode_mask(mask: np.ndarray) -> bytes:
@@ -62,31 +66,57 @@ class TranscriptWriter:
         self._fh.write(struct.pack("<BI", tag, len(payload)))
         self._fh.write(payload)
 
+    def write_round(self, round_index: int, groups: list[list[int]], masks: np.ndarray,
+                    uploads: np.ndarray, labels: np.ndarray, batches: list,
+                    passes: list, total_uplink: int) -> None:
+        """Write one round's records in protocol order.
+
+        ``groups`` lists each group's members.  ``masks``, ``uploads`` and
+        ``labels`` are the fleet's ``(n, M)``, ``(n, batch, M, d)`` and
+        ``(n, batch, classes)`` arrays, row i for client i.  ``batches`` holds
+        each group's mixed batch (``tokens``, ``soft_label``), and ``passes``
+        each server pass's group id and the gradient messages it sent
+        (``target``, ``broadcast``, ``grad``), in the order they ran.
+        """
+        members = [cid for group in groups for cid in group]
+        self.round_start(round_index)
+        for cid in members:
+            self.sequence(cid, masks[cid])
+            self.upload(cid, masks[cid], uploads[cid], labels[cid])
+        for group_id, batch in enumerate(batches):
+            self.server_batch(group_id, batch.tokens, batch.soft_label)
+        for group_id, downs in passes:
+            self.server_step(group_id)
+            for down in downs:
+                self.gradient_down(down.target, down.broadcast, down.grad)
+        for cid in members:
+            self.client_step(cid)
+        self.round_end(round_index, total_uplink)
+
     def round_start(self, round_index: int) -> None:
         self._record(TAG_ROUND_START, struct.pack("<I", round_index))
 
-    def sequence(self, msg: SequenceAssignment) -> None:
-        payload = struct.pack("<II", msg.client_id, msg.mask.shape[0]) + encode_mask(msg.mask)
+    def sequence(self, client_id: int, mask: np.ndarray) -> None:
+        payload = struct.pack("<II", client_id, mask.shape[0]) + encode_mask(mask)
         self._record(TAG_SEQUENCE, payload)
 
-    def upload(self, msg: UploadCutSmashed) -> None:
-        batch, rows, dim = msg.cut.tokens.shape
-        classes = msg.label.shape[-1]
-        payload = (struct.pack("<IIIII", msg.client_id, batch, rows, dim, classes)
-                   + encode_mask(msg.cut.mask) + _f32(msg.cut.tokens) + _f32(msg.label))
+    def upload(self, client_id: int, mask: np.ndarray, tokens: np.ndarray,
+               label: np.ndarray) -> None:
+        batch, rows, dim = tokens.shape
+        payload = (struct.pack("<IIIII", client_id, batch, rows, dim, label.shape[-1])
+                   + encode_mask(mask) + _f32(tokens) + _f32(label))
         self._record(TAG_UPLOAD, payload)
 
-    def server_batch(self, msg: ServerBatch) -> None:
-        batch, rows, dim = msg.cutmix.tokens.shape
-        classes = msg.cutmix.soft_label.shape[-1]
-        payload = (struct.pack("<IIIII", msg.group_id, batch, rows, dim, classes)
-                   + _f32(msg.cutmix.tokens) + _f32(msg.cutmix.soft_label))
+    def server_batch(self, group_id: int, tokens: np.ndarray, soft_label: np.ndarray) -> None:
+        batch, rows, dim = tokens.shape
+        payload = (struct.pack("<IIIII", group_id, batch, rows, dim, soft_label.shape[-1])
+                   + _f32(tokens) + _f32(soft_label))
         self._record(TAG_SERVER_BATCH, payload)
 
-    def gradient_down(self, msg: GradientDown) -> None:
-        batch, rows, dim = msg.grad.shape
-        payload = (struct.pack("<IBIII", msg.target, int(msg.broadcast), batch, rows, dim)
-                   + _f32(msg.grad))
+    def gradient_down(self, target: int, broadcast: bool, grad: np.ndarray) -> None:
+        batch, rows, dim = grad.shape
+        payload = (struct.pack("<IBIII", target, int(broadcast), batch, rows, dim)
+                   + _f32(grad))
         self._record(TAG_GRAD_DOWN, payload)
 
     def server_step(self, group_id: int) -> None:

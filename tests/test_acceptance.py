@@ -29,13 +29,12 @@ import pytest
 
 from splitmix.config import ExperimentConfig
 from splitmix.data import make_synthetic
-from splitmix.mixing import (CutSmashed, cut, cutmix_assemble, generate_mask_set,
+from splitmix.mixing import (cut, cutmix_assemble, generate_mask_set,
                              sample_mixing_counts)
 from splitmix.model import ModelConfig, client_forward, fleet_of, init_parameters, server_forward
 from splitmix.optim import AdamW
-from splitmix.protocol import (ClientFleet, MixGroup, RoundOptions, ServerState,
-                               UploadCutSmashed, activation_bytes, one_hot,
-                               route_gradients, run_round)
+from splitmix.protocol import (ClientFleet, RoundOptions, ServerState, one_hot,
+                               route_gradients, run_round, upload_bytes)
 from splitmix.rng import RngHub
 from splitmix.runner import run_attack_suite, run_experiment
 from splitmix.tensor import Tensor, backward, cross_entropy, reshape
@@ -51,23 +50,19 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
     assert passed, f"{criterion}: {detail}"
 
 
-def upload_for(counts, tokens, dim, batch, classes, seed):
+def activation_bytes(counts, tokens, dim, batch, classes, seed):
+    """Per client of a group with these counts: the bytes its token rows add
+    to its upload, for the masks the mixer draws."""
     masks = generate_mask_set(np.asarray(counts), tokens, np.random.default_rng(seed))
-    uploads = []
-    for cid, mask in enumerate(masks):
-        grid = np.random.default_rng(seed + cid).normal(
-            size=(batch, tokens, dim)).astype(np.float32) * mask[:, None]
-        uploads.append(UploadCutSmashed(
-            client_id=cid, cut=CutSmashed(tokens=grid, mask=mask, client_id=cid),
-            label=np.full((batch, classes), 1.0 / classes, np.float32)))
-    return uploads
+    rows = masks.sum(axis=1)
+    return upload_bytes(rows, batch, dim, classes) - upload_bytes(rows, batch, 0, classes)
 
 
 def test_criterion_1_payload_reduction():
     tokens, dim, batch, classes = 16, 192, 128, 10
-    full = upload_for([tokens], tokens, dim, batch, classes, seed=0)[0]
-    even = upload_for([8, 8], tokens, dim, batch, classes, seed=1)
-    exact_half = all(activation_bytes(u) * 2 == activation_bytes(full) for u in even)
+    full = activation_bytes([tokens], tokens, dim, batch, classes, seed=0)[0]
+    even = activation_bytes([8, 8], tokens, dim, batch, classes, seed=1)
+    exact_half = all(part * 2 == full for part in even)
 
     fractions_ok = True
     detail = []
@@ -77,10 +72,8 @@ def test_criterion_1_payload_reduction():
         rounds = 600
         for r in range(rounds):
             counts = sample_mixing_counts(k, 6.0, tokens, hub.allocations(r))
-            uploads = upload_for(counts, tokens, dim, 2, classes, seed=r)
-            sums += [activation_bytes(u) for u in uploads]
-        fraction = sums / rounds / activation_bytes(
-            upload_for([tokens], tokens, dim, 2, classes, 0)[0])
+            sums += activation_bytes(counts, tokens, dim, 2, classes, seed=r)
+        fraction = sums / rounds / activation_bytes([tokens], tokens, dim, 2, classes, 0)[0]
         worst = np.abs(fraction - 1.0 / k).max()
         detail.append(f"k={k} worst |mean-1/k|={worst:.4f}")
         fractions_ok &= worst < 0.02
@@ -97,11 +90,10 @@ def _count_server_steps(options, tmp_path, tag):
     server = ServerState(segment=server_segment,
                          optimizer=AdamW(server_segment.parameters(), lr=1e-3))
     data = make_synthetic(20, 4, 8, seed=0, channels=1)
-    batches = {cid: (data.images[cid * 2:(cid + 1) * 2],
-                     data.labels[cid * 2:(cid + 1) * 2]) for cid in range(10)}
     path = tmp_path / f"{tag}.bin"
     with open(path, "wb") as fh:
-        run_round(fleet, server, batches, config, options, RngHub(0), 0,
+        run_round(fleet, server, data.images.reshape(10, 2, 1, 8, 8),
+                  data.labels.reshape(10, 2), config, options, RngHub(0), 0,
                   transcript=TranscriptWriter(fh))
     records = read_transcript(path)
     return sum(r["type"] == "server_step" for r in records)
@@ -214,8 +206,7 @@ def test_criterion_4_gradient_correctness():
             worst = max(worst, float(np.abs(tensor.grad - expected_server[key]).max()))
             assert ok, f"server {key} ({mode})"
 
-        group = MixGroup(0, [0, 1], counts, masks)
-        downs = route_gradients(group, inputs.grad, mode)
+        downs = route_gradients([0, 1], masks, inputs.grad, mode)
         backward(smashed, np.stack([down.grad for down in downs]))
         for cid in range(2):
             if mode == "unicast":
@@ -249,8 +240,8 @@ def test_criterion_5_degenerate_equivalence():
     hub = RngHub(21)
     split_losses = []
     for r in range(rounds):
-        batch = {0: (data.images[r * 4:(r + 1) * 4], data.labels[r * 4:(r + 1) * 4])}
-        metrics = run_round(split_client, server, batch, config,
+        metrics = run_round(split_client, server, data.images[None, r * 4:(r + 1) * 4],
+                            data.labels[None, r * 4:(r + 1) * 4], config,
                             RoundOptions(k_way=1), hub, r)
         split_losses.append(metrics.train_loss)
 

@@ -250,6 +250,18 @@ class TestRunExperiment:
         assert code == 0
         assert "done:" in capsys.readouterr().out
 
+    def test_run_that_never_evaluates_reports_no_top1(self, tmp_path, capsys):
+        out = tmp_path / "noeval"
+        code = main(["train", "--epochs", "1", "--eval-every", "2",
+                     "--synthetic-samples", "64", "--synthetic-test", "16",
+                     "--batch-size", "8", "--out-dir", str(out)])
+        assert code == 0
+        assert "best_top1=none (no evaluation ran)" in capsys.readouterr().out
+        summary = json.load(open(out / "summary.json"))
+        assert summary["best_top1"] is None and summary["final_top1"] is None
+        evaluated = run_experiment(fast_cfg(tmp_path, epochs=2, eval_every=2))
+        assert evaluated["best_top1"] == evaluated["final_top1"] is not None
+
 
 class TestAttackSuiteRunner:
     def test_ten_reports_and_determinism(self, tmp_path):

@@ -114,6 +114,19 @@ class TestCut:
             assert np.array_equal(cut(grid, np.array(good)).tokens, [[1, 1], [0, 0]])
 
 
+    def test_fleet_masks_cut_each_client_as_its_own_cut(self):
+        rng = gen(7)
+        fleet = rng.normal(size=(3, 2, 8, 4)).astype(np.float32)
+        masks = (rng.random((3, 8)) < 0.5).astype(np.uint8)
+        out = cut(fleet, masks[:, None]).tokens
+        for grid, mask, row in zip(fleet, masks, out):
+            assert row.tobytes() == cut(grid, mask).tokens.tobytes()
+        with pytest.raises(DimensionError):
+            cut(fleet, masks[:2, None])
+        with pytest.raises(DimensionError):
+            cut(fleet, masks[:, None, :7])
+
+
 class TestCutmixAssemble:
     def test_soft_label_arithmetic(self):
         tokens = 16

@@ -9,21 +9,20 @@ import pytest
 
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, IngestionError, ProtocolError
-from splitmix.mixing import CutSmashed, CutoutMasker, generate_mask_set, sample_mixing_counts
+from splitmix.mixing import CutoutMasker, generate_mask_set, sample_mixing_counts
 from splitmix.model import (ClientSegment, ModelConfig, client_forward, fleet_of,
                             init_parameters, load_checkpoint, save_checkpoint,
                             segments_to_named, server_forward)
 from splitmix.optim import AdamW
 from splitmix import protocol
-from splitmix.protocol import (ClientFleet, MixGroup, RoundOptions, ServerState,
-                               UploadCutSmashed, activation_bytes,
-                               fedavg_client_segments, form_groups, mask_nbytes, one_hot,
-                               payload_meter, route_gradients, run_round,
-                               validate_upload)
+from splitmix.protocol import (ClientFleet, RoundOptions, ServerState,
+                               fedavg_client_segments, form_groups, one_hot, route_gradients,
+                               run_round, upload_bytes, validate_upload)
 from splitmix.rng import RngHub
 from splitmix.runner import _csv_row
 from splitmix.tensor import Tensor, _node, add, backward, cross_entropy, mul, reshape
-from splitmix.transcript import BinaryReader, TranscriptWriter, encode_mask, read_transcript
+from splitmix.transcript import (BinaryReader, TranscriptWriter, encode_mask, mask_nbytes,
+                                 read_transcript)
 
 import composite
 
@@ -52,11 +51,11 @@ def clear_grads(tensors):
 
 
 def build_batches(n_clients, batch=4, seed=0, config=CFG):
+    """The fleet's ``(n, batch, C, H, W)`` images and ``(n, batch)`` labels."""
     data = make_synthetic(n_clients * batch, config.num_classes, config.image_size,
                           seed, channels=config.channels)
-    return {cid: (data.images[cid * batch:(cid + 1) * batch],
-                  data.labels[cid * batch:(cid + 1) * batch])
-            for cid in range(n_clients)}
+    return (data.images.reshape((n_clients, batch) + data.images.shape[1:]),
+            data.labels.reshape(n_clients, batch))
 
 
 class TestFormGroups:
@@ -79,36 +78,33 @@ class TestFormGroups:
 
 
 class TestRouting:
-    def make_group(self, seed=0):
-        counts = np.array([3, 5])
-        masks = generate_mask_set(counts, 8, np.random.default_rng(seed))
-        return MixGroup(0, [0, 1], counts, masks)
+    def make_masks(self, seed=0):
+        return generate_mask_set(np.array([3, 5]), 8, np.random.default_rng(seed))
 
     def test_unicast_masks_rows(self):
-        group = self.make_group()
+        masks = self.make_masks()
         grad = np.random.default_rng(3).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients(group, grad, "unicast")
-        for down, mask in zip(downs, group.mask_set):
+        downs = route_gradients([0, 1], masks, grad, "unicast")
+        for down, mask in zip(downs, masks):
             assert down.rows == mask.sum()
             assert not down.grad[:, mask == 0, :].any()
 
     def test_unicast_sum_recovers_full_gradient(self):
-        group = self.make_group(4)
         grad = np.random.default_rng(5).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients(group, grad, "unicast")
+        downs = route_gradients([0, 1], self.make_masks(4), grad, "unicast")
         assert np.array_equal(downs[0].grad + downs[1].grad, grad)
 
     def test_broadcast_identical_copies(self):
-        group = self.make_group(6)
         grad = np.random.default_rng(7).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients(group, grad, "broadcast")
+        downs = route_gradients([0, 1], self.make_masks(6), grad, "broadcast")
         assert len(downs) == 2
         assert np.array_equal(downs[0].grad, downs[1].grad)
         assert all(d.rows == 8 for d in downs)
 
     def test_unknown_mode(self):
         with pytest.raises(ContractError):
-            route_gradients(self.make_group(), np.zeros((1, 8, 4), np.float32), "multicast")
+            route_gradients([0, 1], self.make_masks(), np.zeros((1, 8, 4), np.float32),
+                            "multicast")
 
 
 def stacked(segments):
@@ -182,25 +178,18 @@ class TestFedAvg:
 
 
 class TestPayloadMeter:
-    def make_upload(self, kept, tokens=16, dim=192, batch=128, classes=10):
-        mask = np.zeros(tokens, dtype=np.uint8)
-        mask[:kept] = 1
-        grid = np.zeros((batch, tokens, dim), dtype=np.float32)
-        grid[:, mask == 1, :] = 1.0
-        return UploadCutSmashed(client_id=0,
-                                cut=CutSmashed(tokens=grid, mask=mask, client_id=0),
-                                label=np.zeros((batch, classes), np.float32))
-
     def test_full_smashed_paper_dimensions(self):
-        msg = self.make_upload(16)
-        assert activation_bytes(msg) == 16 * 192 * 4 * 128 == 1_572_864
-        assert payload_meter(msg) == 1_572_864 + 16 + 10 * 4 * 128
+        rows = upload_bytes(16, 128, 192, 10) - upload_bytes(16, 128, 0, 10)
+        assert rows == 16 * 192 * 4 * 128 == 1_572_864
+        assert upload_bytes(16, 128, 192, 10) == 1_572_864 + 16 + 10 * 4 * 128
 
     def test_even_two_way_is_half(self):
-        assert activation_bytes(self.make_upload(8)) * 2 == activation_bytes(self.make_upload(16))
+        rows = upload_bytes([8, 16], 128, 192, 10) - upload_bytes([8, 16], 128, 0, 10)
+        assert rows[0] * 2 == rows[1]
 
     def test_zero_allocation_transmits_nothing(self):
-        assert payload_meter(self.make_upload(0)) == 0
+        assert upload_bytes(0, 128, 192, 10) == 0
+        assert upload_bytes([0, 3], 2, 4, 5).tolist() == [0, (3 * 4 + 5) * 2 * 4 + 16]
 
     def test_sequence_assignment_is_one_integer(self):
         assert mask_nbytes(16) == 8
@@ -208,18 +197,23 @@ class TestPayloadMeter:
         assert mask_nbytes(200) == 25
 
     def test_upload_invariant_enforced(self):
-        msg = self.make_upload(8)
-        msg.cut.tokens[:, 12, :] = 5.0  # outside the mask
-        with pytest.raises(ProtocolError, match="client 0"):
-            validate_upload(msg)
+        masks = np.zeros((3, 16), dtype=np.uint8)
+        masks[:, :8] = 1
+        uploads = np.zeros((3, 2, 16, 4), dtype=np.float32)
+        uploads[:, :, :8, :] = 1.0
+        validate_upload(uploads, masks)
+        uploads[2, :, 12, :] = 5.0  # outside client 2's mask
+        uploads[1, 0, 13, 0] = -1.0  # outside client 1's mask
+        with pytest.raises(ProtocolError, match="client 1 "):
+            validate_upload(uploads, masks)
 
 
 class TestRunRound:
     def run(self, n, options, seed=0, batch=4):
         fleet, server = build_system(n, seed)
-        batches = build_batches(n, batch, seed)
+        images, labels = build_batches(n, batch, seed)
         hub = RngHub(seed)
-        return run_round(fleet, server, batches, CFG, options, hub, 0)
+        return run_round(fleet, server, images, labels, CFG, options, hub, 0)
 
     def test_two_clients_two_way_single_server_step(self):
         metrics = self.run(2, RoundOptions(k_way=2, alpha=math.inf))
@@ -262,12 +256,14 @@ class TestRunRound:
         assert overhead == senders * (16 + 4 * 4 * 4)
 
     def test_unequal_batches_rejected(self):
+        # Labels must be (n, batch) for (n, batch, ...) images of a fleet of n.
         fleet, server = build_system(2)
-        batches = build_batches(2, 4)
-        images, labels = batches[1]
-        batches[1] = (images[:2], labels[:2])
-        with pytest.raises(ContractError):
-            run_round(fleet, server, batches, CFG, RoundOptions(), RngHub(0), 0)
+        images, labels = build_batches(2, 4)
+        for bad_images, bad_labels in ((images, labels[:, :2]), (images, labels[:1]),
+                                       (images[:1], labels[:1]), (images, labels[:, :, None])):
+            with pytest.raises(ContractError, match="fleet of 2"):
+                run_round(fleet, server, bad_images, bad_labels, CFG, RoundOptions(),
+                          RngHub(0), 0)
 
     def test_expected_uplink_fraction_is_one_over_k(self):
         # Symmetric Dirichlet allocations: long-run activation fraction 1/k.
@@ -327,8 +323,7 @@ class TestGradientModes:
             loss = cross_entropy(server_forward(server_segment, inputs, config),
                                  Tensor(soft))
             backward(loss)
-            group = MixGroup(0, [0, 1], np.array([2, 2]), masks)
-            downs = route_gradients(group, inputs.grad, mode)
+            downs = route_gradients([0, 1], masks, inputs.grad, mode)
             for cid, down in enumerate(downs):
                 carrier = smashed[cid] if mode == "broadcast" else cuts[cid]
                 backward(carrier, down.grad)
@@ -347,22 +342,21 @@ class TestGradientModes:
         # Difference norm is reported, not asserted against a bound.
         config = CFG
         fleet, server = build_system(2, seed=5)
-        batches = build_batches(2, 3, seed=5)
+        images, _ = build_batches(2, 3, seed=5)
         norms = {}
         for mode in ("unicast", "broadcast"):
             segment = fleet_of(fleet.segment.row(0), 1)
-            s = one_client(segment, batches[0][0], config)
+            s = one_client(segment, images[0], config)
             masks = generate_mask_set(np.array([2, 2]), 4, np.random.default_rng(12))
             grid = np.repeat(masks[0][:, None].astype(np.float32), config.embed_dim, 1)
             cut_t = mul(s, Tensor(grid))
-            other = one_client(fleet.segment.row(1), batches[1][0], config)
+            other = one_client(fleet.segment.row(1), images[1], config)
             other_cut = other.values * np.repeat(masks[1][:, None], config.embed_dim, 1)
             inputs = Tensor(cut_t.values + other_cut, requires_grad=True)
             loss = cross_entropy(server_forward(server.segment, inputs, config),
                                  Tensor(np.full((3, 4), 0.25, np.float32)))
             backward(loss)
-            group = MixGroup(0, [0, 1], np.array([2, 2]), masks)
-            down = route_gradients(group, inputs.grad, mode)[0]
+            down = route_gradients([0, 1], masks, inputs.grad, mode)[0]
             carrier = s if mode == "broadcast" else cut_t
             backward(carrier, down.grad)
             norms[mode] = float(np.linalg.norm(segment.patch_weight.grad))
@@ -384,10 +378,10 @@ class TestClientStep:
         """
         n, seed, sigma = 4, 7, 0.1
         fleet, server = build_system(n, seed)
-        batches = build_batches(n, 3, seed)
+        images, labels = build_batches(n, 3, seed)
         path = tmp_path / "round.bin"
         with open(path, "wb") as fh:
-            run_round(fleet, server, batches, CFG,
+            run_round(fleet, server, images, labels, CFG,
                       RoundOptions(k_way=2, alpha=6.0, gradient_mode=mode,
                                    ktimes=ktimes, noise_x=sigma),
                       RngHub(seed), 0, transcript=TranscriptWriter(fh))
@@ -399,7 +393,7 @@ class TestClientStep:
         replicas = [build_system(1, seed)[0] for _ in range(n)]
         hub = RngHub(seed)
         for cid, replica in enumerate(replicas):
-            smashed = one_client(replica.segment, batches[cid][0])
+            smashed = one_client(replica.segment, images[cid])
             noise = hub.noise(0, cid, 0).normal(0.0, sigma, size=smashed.shape)
             noisy = add(smashed, Tensor(noise.astype(np.float32)))
             grid = np.repeat(masks[cid][:, None].astype(np.float32), CFG.embed_dim, axis=1)
@@ -472,15 +466,14 @@ class TestFleetMatchesPerClientReference:
             fleet.optimizer = per_client
         data = make_synthetic(rounds * n * 3, CFG.num_classes, CFG.image_size, seed,
                               channels=CFG.channels)
+        images = data.images.reshape((rounds, n, 3) + data.images.shape[1:])
+        labels = data.labels.reshape(rounds, n, 3)
         path = tmp_path / f"{case}_{reference}.bin"
         rows = []
         with open(path, "wb") as fh:
             for r in range(rounds):
-                batches = {cid: (data.images[(r * n + cid) * 3:(r * n + cid + 1) * 3],
-                                 data.labels[(r * n + cid) * 3:(r * n + cid + 1) * 3])
-                           for cid in range(n)}
-                metrics = run_round(fleet, server, batches, CFG, self.CASES[case], RngHub(seed),
-                                    r, transcript=TranscriptWriter(fh))
+                metrics = run_round(fleet, server, images[r], labels[r], CFG, self.CASES[case],
+                                    RngHub(seed), r, transcript=TranscriptWriter(fh))
                 rows.append(_csv_row(metrics, n))
         monkeypatch.undo()
         params = {k: t.values.tobytes() for k, t in fleet.segment.parameters().items()}
@@ -507,8 +500,8 @@ class TestDegenerateEquivalence:
         hub = RngHub(21)
         split_losses = []
         for r in range(rounds):
-            batch = {0: (data.images[r * 4:(r + 1) * 4], data.labels[r * 4:(r + 1) * 4])}
-            metrics = run_round(fleet, server, batch, config,
+            metrics = run_round(fleet, server, data.images[None, r * 4:(r + 1) * 4],
+                                data.labels[None, r * 4:(r + 1) * 4], config,
                                 RoundOptions(k_way=1), hub, r)
             split_losses.append(metrics.train_loss)
 
@@ -535,9 +528,9 @@ class TestTranscript:
     def test_round_trip_and_step_counts(self, tmp_path):
         path = tmp_path / "round.bin"
         fleet, server = build_system(10, seed=2)
-        batches = build_batches(10, 2, seed=2)
+        images, labels = build_batches(10, 2, seed=2)
         with open(path, "wb") as fh:
-            run_round(fleet, server, batches, CFG,
+            run_round(fleet, server, images, labels, CFG,
                       RoundOptions(k_way=2, alpha=6.0), RngHub(2), 0,
                       transcript=TranscriptWriter(fh))
         records = read_transcript(path)
@@ -554,9 +547,9 @@ class TestTranscript:
     def test_ktimes_transcript_shows_n_steps(self, tmp_path):
         path = tmp_path / "ktimes.bin"
         fleet, server = build_system(10, seed=3)
-        batches = build_batches(10, 2, seed=3)
+        images, labels = build_batches(10, 2, seed=3)
         with open(path, "wb") as fh:
-            run_round(fleet, server, batches, CFG,
+            run_round(fleet, server, images, labels, CFG,
                       RoundOptions(k_way=2, alpha=6.0, ktimes=True), RngHub(3), 0,
                       transcript=TranscriptWriter(fh))
         records = read_transcript(path)
@@ -569,6 +562,62 @@ class TestTranscript:
         server_side = [r for r in records if r["type"] in ("server_step", "gradient_down")]
         assert [r["type"] for r in server_side] == ["server_step", "gradient_down"] * 10
         assert [r["target"] for r in server_side[1::2]] == members
+
+    @pytest.mark.parametrize("options", [
+        RoundOptions(k_way=3, alpha=6.0, gradient_mode="unicast"),
+        RoundOptions(k_way=2, alpha=6.0, gradient_mode="unicast", ktimes=True),
+    ], ids=["unicast", "ktimes"])
+    def test_records_agree_with_their_round(self, tmp_path, options):
+        """Each round's records, read back, are consistent with each other
+        and with the round's metrics (shuffle off, so batches are plain sums)."""
+        n, batch, rounds = 7, 3, 3
+        fleet, server = build_system(n, seed=4)
+        path = tmp_path / "rounds.bin"
+        metrics = []
+        with open(path, "wb") as fh:
+            writer = TranscriptWriter(fh)
+            for r in range(rounds):
+                images, labels = build_batches(n, batch, seed=10 + r)
+                metrics.append(run_round(fleet, server, images, labels, CFG, options,
+                                         RngHub(4), r, transcript=writer))
+        records = read_transcript(path)
+        starts = [i for i, rec in enumerate(records) if rec["type"] == "round_start"]
+        assert len(starts) == rounds
+        for m, begin, end in zip(metrics, starts, starts[1:] + [len(records)]):
+            round_records = records[begin:end]
+            uploads = {rec["client_id"]: rec for rec in round_records if rec["type"] == "upload"}
+            batches = {rec["group_id"]: rec for rec in round_records
+                       if rec["type"] == "server_batch"}
+            groups: dict[int, list[int]] = {}
+            group_id = None
+            for rec in round_records:
+                if rec["type"] == "server_step":
+                    group_id = rec["group_id"]
+                elif rec["type"] == "gradient_down":
+                    groups.setdefault(group_id, []).append(rec["target"])
+                    assert not rec["broadcast"]
+                    mask = uploads[rec["target"]]["mask"]
+                    assert not rec["grad"][:, mask == 0, :].any()
+            assert sorted(groups) == sorted(batches)
+            assert sorted(sum(groups.values(), [])) == list(range(n))
+            for gid, members in groups.items():
+                masks = np.stack([uploads[cid]["mask"] for cid in members])
+                assert np.array_equal(masks.sum(axis=0), np.ones(CFG.tokens)), (m.round_index, gid)
+                tokens = uploads[members[0]]["tokens"].copy()
+                soft = np.zeros_like(uploads[members[0]]["label"])
+                for cid in members[1:]:
+                    tokens += uploads[cid]["tokens"]
+                for cid, mask in zip(members, masks):
+                    soft += np.float32(mask.sum() / CFG.tokens) * uploads[cid]["label"]
+                assert tokens.tobytes() == batches[gid]["tokens"].tobytes(), (m.round_index, gid)
+                assert np.array_equal(soft, batches[gid]["soft_label"]), (m.round_index, gid)
+            for cid, rec in uploads.items():
+                rows = int(rec["mask"].sum())
+                samples, _, dim = rec["tokens"].shape
+                sent = (rows * dim * 4 * samples + 16 + rec["label"].shape[1] * 4 * samples
+                        if rows else 0)
+                assert sent == m.client_uplink_bytes[cid], (m.round_index, cid)
+            assert round_records[-1]["total_uplink"] == m.total_uplink_bytes
 
     def test_mask_codec(self):
         rng = np.random.default_rng(0)
@@ -593,9 +642,9 @@ class TestTranscript:
         for run in range(2):
             path = tmp_path / f"t{run}.bin"
             fleet, server = build_system(4, seed=5)
-            batches = build_batches(4, 2, seed=5)
+            images, labels = build_batches(4, 2, seed=5)
             with open(path, "wb") as fh:
-                run_round(fleet, server, batches, CFG,
+                run_round(fleet, server, images, labels, CFG,
                           RoundOptions(k_way=2, alpha=6.0, shuffle=True), RngHub(5), 0,
                           transcript=TranscriptWriter(fh))
             blobs.append(path.read_bytes())
@@ -613,7 +662,7 @@ def test_malformed_files_load_or_raise_ingestion_error(tmp_path, kind):
     else:
         fleet, server = build_system(2, seed=1)
         with open(path, "wb") as fh:
-            run_round(fleet, server, build_batches(2, 1, seed=1), CFG,
+            run_round(fleet, server, *build_batches(2, 1, seed=1), CFG,
                       RoundOptions(k_way=2, alpha=6.0), RngHub(1), 0,
                       transcript=TranscriptWriter(fh))
         load = read_transcript
