@@ -221,21 +221,31 @@ def client_forward(segment: ClientSegment, images: np.ndarray,
 
 def server_forward(segment: ServerSegment, tokens: Tensor,
                    config: ModelConfig) -> Tensor:
-    """Prepend class token, run pre-norm blocks, norm the class row, apply head."""
+    """Prepend class token, run pre-norm blocks, norm the class row, apply head.
+
+    The head reads only the class row, so the last block attends with the
+    class row as its only query and computes that row alone.
+    """
     if tokens.ndim != 3 or tokens.shape[1] != config.tokens or tokens.shape[2] != config.embed_dim:
         raise DimensionError(
             f"tokens must be (batch, {config.tokens}, {config.embed_dim}), got {tokens.shape}")
     batch = tokens.shape[0]
     cls = expand_batch(segment.class_token, batch)
     x = concat([cls, tokens], axis=1)
-    for blk in segment.blocks:
+    last = len(segment.blocks) - 1
+    for i, blk in enumerate(segment.blocks):
         h = attention(layer_norm(x, blk.ln1_gain, blk.ln1_bias), blk.q_weight, blk.q_bias,
-                      blk.k_weight, blk.k_bias, blk.v_weight, blk.v_bias, config.heads)
+                      blk.k_weight, blk.k_bias, blk.v_weight, blk.v_bias, config.heads,
+                      queries=1 if i == last else None)
+        if i == last:
+            x = slice_rows(x, 0, 1)
         x = add(x, linear(h, blk.out_weight, blk.out_bias))
         h = linear(layer_norm(x, blk.ln2_gain, blk.ln2_bias), blk.fc1_weight, blk.fc1_bias)
         h = linear(gelu(h), blk.fc2_weight, blk.fc2_bias)
         x = add(x, h)
-    cls_row = reshape(slice_rows(x, 0, 1), (batch, config.embed_dim))
+    if not segment.blocks:
+        x = slice_rows(x, 0, 1)
+    cls_row = reshape(x, (batch, config.embed_dim))
     normed = layer_norm(cls_row, segment.norm_gain, segment.norm_bias)
     return linear(normed, segment.head_weight, segment.head_bias)
 

@@ -320,14 +320,17 @@ def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Tensor,
-              v_weight: Tensor, v_bias: Tensor, heads: int) -> Tensor:
-    """Multi-head self-attention over ``(batch, rows, dim)`` tokens, before
-    the out projection.
+              v_weight: Tensor, v_bias: Tensor, heads: int, queries: int | None = None) -> Tensor:
+    """Multi-head attention over ``(batch, rows, dim)`` tokens, before the out
+    projection.
 
-    One node stands for the chain of q/k/v ``linear``s, head split, scaled
-    ``q @ k^T``, softmax, ``@ v`` and head merge.  It evaluates that chain's
-    numpy expressions in the chain's order, with the softmax temporaries
-    written in place, so values and all seven gradients match it bit for bit.
+    Queries come from the first ``queries`` rows (default: every row), keys
+    and values from all rows, so the output is ``(batch, queries, dim)``.
+    One node stands for the chain of q/k/v ``linear``s (the q one over the
+    query rows only), head split, scaled ``q @ k^T``, softmax, ``@ v`` and
+    head merge.  It evaluates that chain's numpy expressions in the chain's
+    order, with the softmax temporaries written in place, so values and all
+    seven gradients match it bit for bit.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -335,29 +338,34 @@ def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Ten
     batch, rows, dim = x.shape
     if heads < 1 or dim % heads:
         raise DimensionError(f"attention: {heads} heads do not divide dim {dim}")
+    queries = rows if queries is None else queries
+    if not 1 <= queries <= rows:
+        raise DimensionError(f"attention: {queries} queries out of range for {rows} rows")
     for weight, bias in ((q_weight, q_bias), (k_weight, k_bias), (v_weight, v_bias)):
         if weight.shape != (dim, dim) or bias.shape != (dim,):
             raise DimensionError(f"attention: weight {weight.shape} and bias {bias.shape} "
                                  f"are not ({dim}, {dim}) and ({dim},)")
     head_dim = dim // heads
     factor = 1.0 / math.sqrt(head_dim)
-    split = (batch, rows, heads, head_dim)
     flat = x.values.reshape(-1, dim)
+    q_flat = x.values[:, :queries].reshape(-1, dim)
 
-    def project(weight, bias):
-        return np.transpose((flat @ weight.values.T + bias.values).reshape(split), (0, 2, 1, 3))
+    def project(source, weight, bias):
+        split = (batch, -1, heads, head_dim)
+        return np.transpose((source @ weight.values.T + bias.values).reshape(split), (0, 2, 1, 3))
 
-    q, k, v = project(q_weight, q_bias), project(k_weight, k_bias), project(v_weight, v_bias)
+    q = project(q_flat, q_weight, q_bias)
+    k, v = project(flat, k_weight, k_bias), project(flat, v_weight, v_bias)
     k_t = np.transpose(k, (0, 1, 3, 2))
     weights = q @ k_t
     weights *= factor
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    merged = np.transpose(weights @ v, (0, 2, 1, 3)).reshape(batch, rows, dim)
+    merged = np.transpose(weights @ v, (0, 2, 1, 3)).reshape(batch, queries, dim)
 
     def bwd(g):
-        g_context = np.transpose(g.reshape(split), (0, 2, 1, 3))
+        g_context = np.transpose(g.reshape(batch, queries, heads, head_dim), (0, 2, 1, 3))
         g_scores = g_context @ np.swapaxes(v, -1, -2)
         g_v = np.swapaxes(weights, -1, -2) @ g_context
         inner = (g_scores * weights).sum(axis=-1, keepdims=True)
@@ -367,12 +375,17 @@ def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Ten
         g_q = g_scores @ np.swapaxes(k_t, -1, -2)
         g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, (0, 1, 3, 2))
         gx, grads = None, []
-        for gh, weight in ((g_q, q_weight), (g_k, k_weight), (g_v, v_weight)):
+        for gh, weight, source in ((g_q, q_weight, q_flat), (g_k, k_weight, flat),
+                                   (g_v, v_weight, flat)):
             gh = np.transpose(gh, (0, 2, 1, 3)).reshape(-1, dim)
             if x.requires_grad:  # summed as (q + k) + v, the chain's order
-                part = (gh @ weight.values).reshape(x.shape)
-                gx = part if gx is None else gx + part
-            grads += [(flat.T @ gh).T, gh.sum(axis=0)]
+                part = (gh @ weight.values).reshape(batch, -1, dim)
+                if gx is None:  # the q part reaches the query rows only
+                    gx = np.zeros(x.shape, np.float32)
+                    gx[:, :queries] = part
+                else:
+                    gx += part
+            grads += [(source.T @ gh).T, gh.sum(axis=0)]
         return (gx, *grads)
 
     return _node(merged, (x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias), bwd)

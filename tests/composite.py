@@ -6,6 +6,9 @@ unchanged; ``attention`` is the chain the model ran before
 wrote its temporaries in place, and ``client_forward`` one client's
 embedding before the fleet's became one ``embed`` node.  The engine's ops
 are held to these bit for bit, in values and in gradients.
+``server_forward`` is the server pass before its last block computed only
+the class row: every block over all rows, then the class row sliced out.
+It is held to the model's pass in value, not in bits.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ import math
 
 import numpy as np
 
+from splitmix import tensor
 from splitmix.errors import DimensionError
 from splitmix.model import extract_patches
-from splitmix.tensor import (_GELU_C, _GELU_K, Tensor, _as_tensor, _node, add, linear, reshape,
-                             scale)
+from splitmix.tensor import (_GELU_C, _GELU_K, Tensor, _as_tensor, _node, add, concat,
+                             expand_batch, layer_norm, linear, reshape, scale, slice_rows)
 
 
 def matmul(a, b) -> Tensor:
@@ -81,17 +85,37 @@ def _split_heads(x: Tensor, batch: int, rows: int, heads: int, head_dim: int) ->
     return transpose(reshape(x, (batch, rows, heads, head_dim)), (0, 2, 1, 3))
 
 
-def attention(x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias, heads):
-    """The model's former attention chain, up to the out projection."""
+def attention(x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias, heads, queries=None):
+    """The model's former attention chain, up to the out projection, with
+    queries from the first ``queries`` rows (default: every row)."""
     batch, rows, d = x.shape
+    queries = rows if queries is None else queries
     head_dim = d // heads
-    q = _split_heads(linear(x, q_weight, q_bias), batch, rows, heads, head_dim)
+    q = _split_heads(linear(slice_rows(x, 0, queries), q_weight, q_bias),
+                     batch, queries, heads, head_dim)
     k = _split_heads(linear(x, k_weight, k_bias), batch, rows, heads, head_dim)
     v = _split_heads(linear(x, v_weight, v_bias), batch, rows, heads, head_dim)
     scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
     weights = softmax(scores, axis=-1)
     context = matmul(weights, v)
-    return reshape(transpose(context, (0, 2, 1, 3)), (batch, rows, d))
+    return reshape(transpose(context, (0, 2, 1, 3)), (batch, queries, d))
+
+
+def server_forward(segment, tokens, config):
+    """The all-rows server pass: every block over the class row and all
+    patch rows, then the class row sliced out for the norm and head."""
+    batch = tokens.shape[0]
+    x = concat([expand_batch(segment.class_token, batch), tokens], axis=1)
+    for blk in segment.blocks:
+        h = tensor.attention(layer_norm(x, blk.ln1_gain, blk.ln1_bias), blk.q_weight, blk.q_bias,
+                             blk.k_weight, blk.k_bias, blk.v_weight, blk.v_bias, config.heads)
+        x = add(x, linear(h, blk.out_weight, blk.out_bias))
+        h = linear(layer_norm(x, blk.ln2_gain, blk.ln2_bias), blk.fc1_weight, blk.fc1_bias)
+        h = linear(tensor.gelu(h), blk.fc2_weight, blk.fc2_bias)
+        x = add(x, h)
+    cls_row = reshape(slice_rows(x, 0, 1), (batch, config.embed_dim))
+    normed = layer_norm(cls_row, segment.norm_gain, segment.norm_bias)
+    return linear(normed, segment.head_weight, segment.head_bias)
 
 
 def client_forward(weight, bias, pos, images, config):

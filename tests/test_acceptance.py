@@ -315,6 +315,9 @@ def test_criterion_6_accuracy_ordering(monkeypatch):
     report("6 accuracy-ordering", beats, "; ".join(detail))
 
 
+PRIVACY_ORDER = ("shuffled_cutmix", "cutsmashed", "patch_cutmix", "mixup", "smashed")
+
+
 @pytest.mark.slow
 def test_criterion_7_privacy_ordering():
     wins = 0
@@ -330,9 +333,13 @@ def test_criterion_7_privacy_ordering():
         ordered = (mse["shuffled_cutmix"] > mse["cutsmashed"] > mse["patch_cutmix"]
                    > mse["mixup"] > mse["smashed"])
         wins += ordered
-        per_seed.append(f"seed{seed}:{'ok' if ordered else 'out-of-order'}")
+        # Adjacent MSE ratios in the gated order; above 1 means that pair is in order.
+        ratios = [mse[a] / mse[b] for a, b in zip(PRIVACY_ORDER, PRIVACY_ORDER[1:])]
+        per_seed.append(f"seed{seed}:{'ok' if ordered else 'out-of-order'}"
+                        f"[{' '.join(f'{r:.3f}' for r in ratios)}]")
     report("7 privacy-ordering", wins >= 2,
-           f"{wins}/3 seeds ordered ({', '.join(per_seed)})")
+           f"{wins}/3 seeds ordered ({', '.join(per_seed)}; "
+           f"adjacent MSE ratios along {' > '.join(PRIVACY_ORDER)})")
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """Split ViT contracts: shapes, init, equivariances, gradients, checkpoints."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,6 +203,57 @@ def test_server_pass_matches_composite_attention_bit_for_bit(monkeypatch):
     chain = run()
     for key in fused:
         assert np.array_equal(fused[key], chain[key]), key
+
+
+def _random_server(cfg, seed):
+    # Init weights are too small for attention to mix rows; spread them out.
+    _, server = init_parameters(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in server.parameters().values():
+        t.values = (t.values + rng.normal(0, 0.3, size=t.shape)).astype(np.float32)
+    return server
+
+
+def _server_pass(forward, server, tokens0, labels, cfg):
+    for t in server.parameters().values():
+        t.grad = None
+    tokens = Tensor(tokens0, requires_grad=True)
+    logits = forward(server, tokens, cfg)
+    loss = cross_entropy(logits, Tensor(labels))
+    backward(loss)
+    return {"logits": logits.values, "loss": loss.values, "tokens": tokens.grad,
+            **{k: t.grad for k, t in server.parameters().items()}}
+
+
+@pytest.mark.parametrize("depth,batch", [(2, 1), (2, 4), (2, 16), (3, 4)])
+def test_class_row_pass_matches_all_rows_pass(depth, batch):
+    # The last block computes only the class row; the all-rows pass computes
+    # every row and slices the class row out.  Same in real arithmetic.
+    cfg = replace(PROFILES["desk"], depth=depth)
+    server = _random_server(cfg, seed=batch)
+    rng = np.random.default_rng(depth * 100 + batch)
+    tokens0 = rng.normal(size=(batch, cfg.tokens, cfg.embed_dim)).astype(np.float32)
+    labels = np.eye(cfg.num_classes, dtype=np.float32)[rng.integers(0, 10, size=batch)]
+    got = _server_pass(server_forward, server, tokens0, labels, cfg)
+    want = _server_pass(composite.server_forward, server, tokens0, labels, cfg)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].shape == want[key].shape, key
+        assert np.allclose(got[key], want[key], rtol=1e-4, atol=1e-6), key
+
+
+def test_depth_zero_server_reads_the_class_row():
+    cfg = replace(PROFILES["desk"], depth=0)
+    server = _random_server(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    logits = [server_forward(server, Tensor(rng.normal(size=(3, cfg.tokens, cfg.embed_dim))
+                                            .astype(np.float32)), cfg).values for _ in range(2)]
+    cls = server.class_token.values
+    normed = (cls - cls.mean()) / np.sqrt(cls.var() + 1e-5) * server.norm_gain.values
+    expected = (normed + server.norm_bias.values) @ server.head_weight.values.T
+    expected = np.repeat(expected + server.head_bias.values, 3, axis=0)
+    assert np.array_equal(logits[0], logits[1])
+    assert np.allclose(logits[0], expected, atol=1e-5)
 
 
 def test_evaluation_builds_no_graph():

@@ -213,10 +213,10 @@ def _attention_inputs(batch, rows=5, dim=8, seed=0):
     return x, params
 
 
-@pytest.mark.parametrize("batch", [1, 4, 16])
-def test_attention_matches_composite_bit_for_bit(batch):
+def _assert_attention_matches_composite(batch, queries=None):
     x0, params = _attention_inputs(batch, rows=17, dim=32, seed=batch)
-    upstream = np.random.default_rng(99).normal(size=x0.shape).astype(np.float32)
+    upstream = np.random.default_rng(99).normal(size=(batch, queries or 17, 32))
+    upstream = upstream.astype(np.float32)
     gain0 = np.linspace(0.5, 1.5, 32, dtype=np.float32)
 
     def run(op):
@@ -226,7 +226,7 @@ def test_attention_matches_composite_bit_for_bit(batch):
         gain = Tensor(gain0.copy(), requires_grad=True)
         bias = Tensor(np.zeros(32, np.float32), requires_grad=True)
         ps = [Tensor(params[n].astype(np.float32), requires_grad=True) for n in ATTENTION_PARAMS]
-        y = op(layer_norm(x, gain, bias), *ps, 2)
+        y = op(layer_norm(x, gain, bias), *ps, 2, queries=queries)
         backward(y, upstream)
         return [y.values, x.grad] + [p.grad for p in ps]
 
@@ -234,6 +234,17 @@ def test_attention_matches_composite_bit_for_bit(batch):
     for name, got, want in zip(names, run(attention), run(composite.attention)):
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("batch", [1, 4, 16])
+def test_attention_matches_composite_bit_for_bit(batch):
+    _assert_attention_matches_composite(batch)
+
+
+@pytest.mark.parametrize("queries", [1, 3])
+@pytest.mark.parametrize("batch", [1, 4, 16])
+def test_attention_query_rows_match_composite_bit_for_bit(batch, queries):
+    _assert_attention_matches_composite(batch, queries)
 
 
 def test_gelu_matches_textbook_expressions_bit_for_bit():
@@ -255,23 +266,53 @@ def test_gelu_matches_textbook_expressions_bit_for_bit():
             assert np.array_equal(got, want, equal_nan=True), name
 
 
-def test_attention_matches_finite_differences():
+def _assert_attention_matches_finite_differences(queries=None):
+    # Each query row attends over all rows, so the reference is the
+    # all-rows attention restricted to the first `rows` rows.
     x64, params = _attention_inputs(2, rows=3, dim=4, seed=5)
     params["out_weight"], params["out_bias"] = np.eye(4), np.zeros(4)
-    weights = np.random.default_rng(6).normal(size=x64.shape)
+    rows = 3 if queries is None else queries
+    weights = np.random.default_rng(6).normal(size=(2, rows, 4))
     arrays = {"x": x64, **{n: params[n] for n in ATTENTION_PARAMS}}
 
     def ref_loss():
         p = {**params, **arrays}
-        return (_ref_attention(arrays["x"], p, "", heads=2) * weights).sum()
+        return (_ref_attention(arrays["x"], p, "", heads=2)[:, :rows] * weights).sum()
 
     expected = central_difference(ref_loss, arrays, h=1e-3)
     tensors = {n: Tensor(a.astype(np.float32), requires_grad=True) for n, a in arrays.items()}
-    y = attention(tensors["x"], *(tensors[n] for n in ATTENTION_PARAMS), 2)
-    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2), atol=1e-5)
+    y = attention(tensors["x"], *(tensors[n] for n in ATTENTION_PARAMS), 2, queries=queries)
+    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2)[:, :rows], atol=1e-5)
     backward(y, weights.astype(np.float32))
     for name, tensor in tensors.items():
         assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
+
+
+def test_attention_matches_finite_differences():
+    _assert_attention_matches_finite_differences()
+
+
+@pytest.mark.parametrize("queries", [1, 2])
+def test_attention_query_rows_match_finite_differences(queries):
+    _assert_attention_matches_finite_differences(queries)
+
+
+@pytest.mark.parametrize("queries", [1, 3, 5])
+def test_attention_query_rows_match_float64_reference(queries):
+    x64, params = _attention_inputs(4, rows=5, dim=8, seed=queries)
+    params["out_weight"], params["out_bias"] = np.eye(8), np.zeros(8)
+    ps = [Tensor(params[n].astype(np.float32)) for n in ATTENTION_PARAMS]
+    y = attention(Tensor(x64.astype(np.float32)), *ps, 2, queries=queries)
+    assert y.shape == (4, queries, 8)
+    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2)[:, :queries], atol=1e-5)
+
+
+def test_attention_rejects_query_counts_outside_its_rows():
+    x0, params = _attention_inputs(1)
+    ps = [Tensor(params[n].astype(np.float32)) for n in ATTENTION_PARAMS]
+    for queries in (0, x0.shape[1] + 1):
+        with pytest.raises(DimensionError):
+            attention(Tensor(x0.astype(np.float32)), *ps, 2, queries=queries)
 
 
 def test_attention_rejects_mismatched_shapes():
