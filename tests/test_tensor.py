@@ -268,21 +268,21 @@ def test_gelu_matches_textbook_expressions_bit_for_bit():
 
 def _assert_attention_matches_finite_differences(queries=None):
     # Each query row attends over all rows, so the reference is the
-    # all-rows attention restricted to the first `rows` rows.
+    # all-rows attention restricted to the query rows.
     x64, params = _attention_inputs(2, rows=3, dim=4, seed=5)
     params["out_weight"], params["out_bias"] = np.eye(4), np.zeros(4)
-    rows = 3 if queries is None else queries
-    weights = np.random.default_rng(6).normal(size=(2, rows, 4))
+    q_rows = 3 if queries is None else queries
+    weights = np.random.default_rng(6).normal(size=(2, q_rows, 4))
     arrays = {"x": x64, **{n: params[n] for n in ATTENTION_PARAMS}}
 
     def ref_loss():
         p = {**params, **arrays}
-        return (_ref_attention(arrays["x"], p, "", heads=2)[:, :rows] * weights).sum()
+        return (_ref_attention(arrays["x"], p, "", heads=2)[:, :q_rows] * weights).sum()
 
     expected = central_difference(ref_loss, arrays, h=1e-3)
     tensors = {n: Tensor(a.astype(np.float32), requires_grad=True) for n, a in arrays.items()}
     y = attention(tensors["x"], *(tensors[n] for n in ATTENTION_PARAMS), 2, queries=queries)
-    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2)[:, :rows], atol=1e-5)
+    assert np.allclose(y.values, _ref_attention(x64, params, "", heads=2)[:, :q_rows], atol=1e-5)
     backward(y, weights.astype(np.float32))
     for name, tensor in tensors.items():
         assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
