@@ -141,8 +141,14 @@ class _Decoder:
         return h
 
 
-def run_attack(config: AttackConfig, snapshot: Snapshot) -> AttackReport:
-    """Train the decoder on a fraction of samples; report held-out MSE."""
+def prepare_representation(config: AttackConfig,
+                           snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Build ``config.representation`` and normalise it: (features, targets).
+
+    The build draws from its own stream (``STREAM_ATTACK``, counter 0) and
+    reads no training setting, so one preparation serves every
+    ``train_fraction``.
+    """
     rng_build = stream_generator(config.seed, STREAM_ATTACK, 0)
     features, targets = build_representation(config.representation, snapshot,
                                              config, rng_build)
@@ -150,6 +156,15 @@ def run_attack(config: AttackConfig, snapshot: Snapshot) -> AttackReport:
         mu = features.mean(axis=1, keepdims=True)
         sd = features.std(axis=1, keepdims=True) + np.float32(1e-6)
         features = (features - mu) / sd
+    return features, targets
+
+
+def run_attack(config: AttackConfig,
+               prepared: tuple[np.ndarray, np.ndarray]) -> AttackReport:
+    """Train the decoder on a fraction of the prepared samples; report
+    held-out MSE.  ``prepared`` is ``prepare_representation``'s output for
+    the same representation, seed and build settings."""
+    features, targets = prepared
     n = features.shape[0]
     if n < 4:
         raise ContractError("attack needs at least 4 samples")

@@ -17,7 +17,7 @@ from .mixing import CutoutMasker
 from .model import PROFILES, ModelConfig, client_forward, fleet_of, init_parameters, server_forward
 from .optim import AdamW, WarmupCosine
 from .privacy import (REPRESENTATIONS, AttackConfig, AttackReport, Snapshot,
-                      run_attack)
+                      prepare_representation, run_attack)
 from .protocol import (ClientFleet, RoundMetrics, RoundOptions, ServerState,
                        fedavg_client_segments, run_round)
 from .rng import RngHub
@@ -266,17 +266,21 @@ def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) ->
     table: dict[str, dict[str, float]] = {}
     for representation in REPRESENTATIONS:
         table[representation] = {}
-        for fraction in ATTACK_FRACTIONS:
-            attack = AttackConfig(
-                representation=representation, train_fraction=fraction,
-                decoder_width=cfg.attack_decoder_width,
-                decoder_depth=cfg.attack_decoder_depth,
-                epochs=cfg.attack_epochs, batch_size=cfg.attack_batch_size,
-                lr=cfg.attack_lr, seed=seed, keep_ratio=cfg.attack_keep_ratio,
-                cutmix_alpha=cfg.attack_alpha)
-            report = run_attack(attack, snapshot)
+        attacks = [AttackConfig(
+            representation=representation, train_fraction=fraction,
+            decoder_width=cfg.attack_decoder_width,
+            decoder_depth=cfg.attack_decoder_depth,
+            epochs=cfg.attack_epochs, batch_size=cfg.attack_batch_size,
+            lr=cfg.attack_lr, seed=seed, keep_ratio=cfg.attack_keep_ratio,
+            cutmix_alpha=cfg.attack_alpha) for fraction in ATTACK_FRACTIONS]
+        # The build reads no fraction, so both fractions share one; it is
+        # dropped before the next is built, so only one is ever held.
+        prepared = prepare_representation(attacks[0], snapshot)
+        for attack in attacks:
+            report = run_attack(attack, prepared)
             reports.append(report)
-            table[representation][str(fraction)] = report.test_mse
+            table[representation][str(attack.train_fraction)] = report.test_mse
+        del prepared
     result = {
         "config": cfg.to_dict(),
         "fractions": list(ATTACK_FRACTIONS),

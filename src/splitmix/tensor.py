@@ -11,6 +11,8 @@ backpropagated frees each temporary as soon as the next operation has read it.
 
 Contracts:
   * all values and gradients are float32;
+  * the fused nodes return each parameter gradient C-contiguous, in its
+    parameter's shape;
   * leaf gradients accumulate across ``backward`` calls until the
     optimizer's ``zero_grads`` clears them;
   * no broadcasting except a smaller operand whose shape matches the
@@ -194,8 +196,12 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
     """``x @ weight.T + bias`` over the last axis of ``(..., in)`` tokens.
 
     ``weight`` is ``(out, in)`` and ``bias`` is ``(out,)``.  One node stands
-    for the reshape / transpose / matmul / add chain and evaluates the same
-    numpy expressions, so values and gradients match it bit for bit.
+    for the reshape / transpose / matmul / add chain and evaluates its numpy
+    expressions, except that the weight gradient is ``g^T @ x`` in the
+    weight's own layout rather than the chain's transposed view
+    ``(x^T @ g)^T``, so the leaf copy in ``backward`` is a plain memcpy.  The
+    two products are equal bit for bit, so values and gradients match the
+    chain bit for bit.
     """
     x = _as_tensor(x)
     if weight.ndim != 2 or bias.shape != weight.shape[:1]:
@@ -211,7 +217,7 @@ def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
     def bwd(g):
         g = g.reshape(-1, out_dim)
         gx = (g @ w).reshape(x.shape) if x.requires_grad else None
-        return gx, (flat.T @ g).T, g.sum(axis=0)
+        return gx, g.T @ flat, g.sum(axis=0)
 
     return _node(out, (x, weight, bias), bwd)
 
@@ -225,7 +231,8 @@ def embed(patches: np.ndarray, weight: Tensor, bias: Tensor, pos: Tensor) -> Ten
     One node stands for a ``linear`` and an ``add`` per client and evaluates
     their numpy expressions on all n slices at once (stacked matmuls, sums
     over axis 1), so each client's values and gradients match its own pair
-    bit for bit.
+    bit for bit.  As in ``linear``, the weight gradient is ``g^T @ patches``
+    in the weight's ``(n, out, in)`` layout.
     """
     if patches.ndim != 4:
         raise DimensionError(f"embed: patches must be (n, batch, rows, in), got {patches.shape}")
@@ -244,7 +251,7 @@ def embed(patches: np.ndarray, weight: Tensor, bias: Tensor, pos: Tensor) -> Ten
     def bwd(g):
         g_pos = g.sum(axis=1)
         g = g.reshape(n, -1, out_dim)
-        return np.swapaxes(np.swapaxes(flat, 1, 2) @ g, 1, 2), g.sum(axis=1), g_pos
+        return np.swapaxes(g, 1, 2) @ flat, g.sum(axis=1), g_pos
 
     return _node(out, (weight, bias, pos), bwd)
 
@@ -330,7 +337,8 @@ def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Ten
     query rows only), head split, scaled ``q @ k^T``, softmax, ``@ v`` and
     head merge.  It evaluates that chain's numpy expressions in the chain's
     order, with the softmax temporaries written in place, so values and all
-    seven gradients match it bit for bit.
+    seven gradients match it bit for bit.  As in ``linear``, each weight
+    gradient is ``g^T @ x`` in the weight's own layout.
     """
     x = _as_tensor(x)
     if x.ndim != 3:
@@ -385,7 +393,7 @@ def attention(x, q_weight: Tensor, q_bias: Tensor, k_weight: Tensor, k_bias: Ten
                     gx[:, :queries] = part
                 else:
                     gx += part
-            grads += [(source.T @ gh).T, gh.sum(axis=0)]
+            grads += [gh.T @ source, gh.sum(axis=0)]
         return (gx, *grads)
 
     return _node(merged, (x, q_weight, q_bias, k_weight, k_bias, v_weight, v_bias), bwd)

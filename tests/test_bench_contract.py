@@ -8,6 +8,9 @@ wrapper against the live modules, calls nothing, and checks that leaving the
 tracer puts every original back.  The second runs a tiny training run under
 all of them: the tracer names some calls by their caller, so moving a step
 into a helper, or routing without ``protocol.route_gradients``, breaks it.
+The third runs a tiny attack suite under all of them, which holds the
+decoder's step inside ``privacy.run_attack`` and each representation's
+build to one ``privacy.build_representation`` call.
 """
 
 from pathlib import Path
@@ -65,3 +68,22 @@ def test_tiny_run_under_the_full_tracer(tmp_path, monkeypatch):
             "tensor.backward.client", "protocol.validate_upload"} <= names
     records = transcript.read_transcript(tmp_path / "transcript.bin")
     assert len(tracer.named("transcript.write")) == len(records)
+
+
+def test_tiny_attack_suite_under_the_full_tracer(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracer import Tracer, install_layers, install_probes
+
+    cfg = config.ExperimentConfig(
+        method="parallel_sl", n_clients=2, dataset="synthetic", synthetic_samples=128,
+        synthetic_test=32, batch_size=16, attack_pretrain_epochs=1, attack_epochs=1,
+        attack_decoder_width=32, seed=1, out_dir=str(tmp_path))
+    reports = []
+    with Tracer() as tracer:  # an UnclassifiedCall would raise out of the suite
+        install_probes(tracer, SM, print, print, reports.append)
+        install_layers(tracer, SM)
+        runner.run_attack_suite(cfg)
+    assert len(tracer.named("privacy.run_attack")) == len(reports) == 10
+    for representation in privacy.REPRESENTATIONS:
+        assert len(tracer.named(f"privacy.build_representation.{representation}")) == 1
+    assert tracer.named("optim.AdamW.step.decoder")

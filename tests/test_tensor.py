@@ -178,13 +178,16 @@ class TestBackward:
             assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
 
 
-@pytest.mark.parametrize("lead", [(5,), (2, 5)])
-def test_linear_matches_composite_bit_for_bit(lead):
+# Desk shapes, plus the attack decoder's two layers at its batch of 64.
+@pytest.mark.parametrize("lead, in_dim, out_dim",
+                         [((5,), 6, 4), ((2, 5), 6, 4), ((64,), 512, 256), ((64,), 256, 768)],
+                         ids=["lead0", "lead1", "decoder-512-256", "decoder-256-768"])
+def test_linear_matches_composite_bit_for_bit(lead, in_dim, out_dim):
     rng = np.random.default_rng(3)
-    x0 = rng.normal(size=lead + (6,)).astype(np.float32)
-    w0 = rng.normal(size=(4, 6)).astype(np.float32)
-    b0 = rng.normal(size=(4,)).astype(np.float32)
-    upstream = rng.normal(size=lead + (4,)).astype(np.float32)
+    x0 = rng.normal(size=lead + (in_dim,)).astype(np.float32)
+    w0 = rng.normal(size=(out_dim, in_dim)).astype(np.float32)
+    b0 = rng.normal(size=(out_dim,)).astype(np.float32)
+    upstream = rng.normal(size=lead + (out_dim,)).astype(np.float32)
     rows = int(np.prod(lead))
 
     def run(fused):
@@ -192,8 +195,8 @@ def test_linear_matches_composite_bit_for_bit(lead):
         if fused:
             y = linear(x, w, b)
         else:
-            y = add(matmul(reshape(x, (rows, 6)), transpose(w, (1, 0))), b)
-            y = reshape(y, lead + (4,))
+            y = add(matmul(reshape(x, (rows, in_dim)), transpose(w, (1, 0))), b)
+            y = reshape(y, lead + (out_dim,))
         backward(y, upstream)
         return y.values, x.grad, w.grad, b.grad
 
@@ -203,6 +206,46 @@ def test_linear_matches_composite_bit_for_bit(lead):
 
 
 ATTENTION_PARAMS = ("q_weight", "q_bias", "k_weight", "k_bias", "v_weight", "v_bias")
+
+
+def _param(rng, *shape):
+    return Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+
+def _attention_node(rng, queries=None):
+    params = [_param(rng, 8, 8) if name.endswith("weight") else _param(rng, 8)
+              for name in ATTENTION_PARAMS]
+    return attention(Tensor(rng.normal(size=(2, 5, 8))), *params, 2, queries=queries)
+
+
+def _embed_node(rng, n):
+    patches = rng.normal(size=(n, 3, 4, 6)).astype(np.float32)
+    return embed(patches, _param(rng, n, 5, 6), _param(rng, n, 5), _param(rng, n, 4, 5))
+
+
+FUSED_NODES = {
+    "linear-2d": lambda rng: linear(Tensor(rng.normal(size=(5, 6))), _param(rng, 4, 6),
+                                    _param(rng, 4)),
+    "linear-3d": lambda rng: linear(Tensor(rng.normal(size=(2, 5, 6))), _param(rng, 4, 6),
+                                    _param(rng, 4)),
+    "attention": lambda rng: _attention_node(rng),
+    "attention-q1": lambda rng: _attention_node(rng, queries=1),
+    "embed-n1": lambda rng: _embed_node(rng, 1),
+    "embed-n3": lambda rng: _embed_node(rng, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_NODES))
+def test_fused_node_returns_parameter_gradients_in_their_layout(name):
+    # backward copies each leaf gradient; a C-contiguous one makes that a memcpy.
+    rng = np.random.default_rng(2)
+    out = FUSED_NODES[name](rng)
+    grads = out._backward(rng.normal(size=out.shape).astype(np.float32))
+    params = [(p, g) for p, g in zip(out._parents, grads) if p.requires_grad]
+    assert len(params) == {"l": 2, "a": 6, "e": 3}[name[0]]
+    for parent, grad in params:
+        assert grad.shape == parent.shape
+        assert grad.flags.c_contiguous
 
 
 def _attention_inputs(batch, rows=5, dim=8, seed=0):
