@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .config import CHOICES, FIELD_TYPES, ExperimentConfig
@@ -61,6 +62,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args)
     except (SplitMixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: out_dir {cfg.out_dir!r}: {exc.strerror}", file=sys.stderr)
         return 2
     from . import runner
     try:

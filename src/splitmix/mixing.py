@@ -20,15 +20,6 @@ from .errors import ContractError, DimensionError, ProtocolError
 
 
 @dataclass
-class CutSmashed:
-    """Token grid with untransmitted rows zeroed, plus the mask that did it."""
-
-    tokens: np.ndarray
-    mask: np.ndarray
-    client_id: int | None = None
-
-
-@dataclass
 class CutMixBatch:
     """Mixed token grid and its proportionally mixed soft label."""
 
@@ -95,20 +86,17 @@ def generate_mask_set(allocation: np.ndarray, tokens: int,
             f"allocation {allocation.tolist()} does not sum to token count {tokens}")
     order = rng.permutation(tokens)
     masks = np.zeros((len(allocation), tokens), dtype=np.uint8)
-    offset = 0
-    for i, size in enumerate(allocation):
-        masks[i, order[offset:offset + size]] = 1
-        offset += size
+    masks[np.repeat(np.arange(len(allocation)), allocation), order] = 1
     return masks
 
 
-def cut(tokens: np.ndarray, mask: np.ndarray,
-        client_id: int | None = None) -> CutSmashed:
-    """Zero the token rows whose mask bit is 0; the input is untouched.
+def cut(tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The token rows times their mask bits, as a new float32 array.
 
     ``tokens`` is ``(..., M, d)``.  ``mask`` is a length-M 0/1 vector, or a
     stack of them that broadcasts over the leading axes: ``(n, 1, M)`` cuts
-    an ``(n, batch, M, d)`` fleet with one mask per client.
+    an ``(n, batch, M, d)`` fleet with one mask per client.  A dropped row
+    is ``value * 0``, so negative values leave -0.0 behind.
     """
     mask = _validate_mask(mask)
     tokens = np.asarray(tokens, dtype=np.float32)
@@ -118,66 +106,62 @@ def cut(tokens: np.ndarray, mask: np.ndarray,
     if (tokens.ndim < 2 or tokens.shape[-2] != mask.shape[-1]
             or any(m not in (1, t) for m, t in zip(mask.shape[-2::-1], lead[::-1]))):
         raise DimensionError(f"mask of shape {mask.shape} does not fit token rows {tokens.shape}")
-    kept = tokens * mask[..., None].astype(np.float32)
-    return CutSmashed(tokens=kept, mask=mask, client_id=client_id)
+    return tokens * mask[..., None].astype(np.float32)
 
 
-def cutmix_assemble(parts: list[CutSmashed], labels: list[np.ndarray],
-                    allocation: np.ndarray, tokens: int) -> CutMixBatch:
-    """Sum the parts into one grid; soft label is the a_i/M mix of labels.
+def cutmix_assemble(uploads: np.ndarray, masks: np.ndarray, labels: np.ndarray,
+                    ids: list[int]) -> CutMixBatch:
+    """Sum a group's uploads into one grid; the soft label is the a_i/M mix
+    of its label rows, where a_i is member i's mask count.
 
-    Raises a protocol error if any position is claimed by two masks, naming
-    the offending client.
+    Row i of the ``(k, batch, M, d)`` uploads, ``(k, M)`` masks and
+    ``(k, batch, classes)`` labels is member i's, whose client id is
+    ``ids[i]``.  Raises a protocol error, naming the client, if a position
+    is claimed by two masks or by none.  The sum runs in member order.
     """
-    if len(parts) != len(labels) or len(parts) != len(allocation):
-        raise ContractError("parts, labels and allocation must align")
-    claimed = np.zeros(tokens, dtype=np.int64)
-    for part in parts:
-        mask = _validate_mask(part.mask)
-        if mask.shape != claimed.shape:
-            raise DimensionError(f"mask of shape {mask.shape} in a {tokens}-token group")
-        overlap = (claimed > 0) & (mask > 0)
-        if overlap.any():
-            who = "?" if part.client_id is None else part.client_id
-            raise ProtocolError(
-                f"mask overlap at position {int(np.argmax(overlap))} claimed by client {who}")
-        claimed += mask
-    if not (claimed == 1).all():
+    uploads = np.asarray(uploads, dtype=np.float32)
+    masks = _validate_mask(masks)
+    labels = np.asarray(labels, dtype=np.float32)
+    if (uploads.ndim != 4 or masks.shape != (len(ids), uploads.shape[2])
+            or len(uploads) != len(ids) or labels.shape[:2] != uploads.shape[:2]):
+        raise DimensionError(f"{len(ids)} ids, masks {masks.shape} and labels {labels.shape} "
+                             f"do not fit uploads {uploads.shape}")
+    claimed = np.cumsum(masks, axis=0)
+    overlap = (claimed > 1) & (masks > 0)
+    if overlap.any():
+        who = int(np.argmax(overlap.any(axis=1)))
+        raise ProtocolError(f"mask overlap at position {int(np.argmax(overlap[who]))} "
+                            f"claimed by client {ids[who]}")
+    if not (claimed[-1] == 1).all():
         raise ProtocolError(
-            f"mask set leaves position {int(np.argmin(claimed))} unclaimed")
-    mixed = parts[0].tokens.astype(np.float32).copy()
-    for part in parts[1:]:
-        mixed += part.tokens
-    label_dim = np.asarray(labels[0]).shape
-    soft = np.zeros(label_dim, dtype=np.float32)
-    for weight, label in zip(np.asarray(allocation, dtype=np.float64) / tokens, labels):
-        label = np.asarray(label, dtype=np.float32)
-        if label.shape != label_dim:
-            raise DimensionError(f"label shape {label.shape} differs from {label_dim}")
-        soft += np.float32(weight) * label
+            f"mask set leaves position {int(np.argmin(claimed[-1]))} unclaimed")
+    mixed = uploads[0].copy()
+    for part in uploads[1:]:
+        mixed += part
+    soft = np.zeros(labels.shape[1:], dtype=np.float32)
+    for weight, label in zip((masks.sum(axis=1) / masks.shape[1]).astype(np.float32), labels):
+        soft += weight * label
     return CutMixBatch(tokens=mixed, soft_label=soft)
 
 
-def shuffle_tokens(batch: CutMixBatch,
-                   rng: np.random.Generator) -> tuple[CutMixBatch, np.ndarray]:
+def shuffle_tokens(tokens: np.ndarray,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Permute the token rows of a (batch, M, d) grid, a fresh uniform
     permutation per sample.
 
-    Returns the shuffled batch and the (batch, M) permutation array so the
+    Returns the shuffled grid and the (batch, M) permutation array so the
     shuffle can be inverted (sample 0's permutation is drawn first).
     """
-    grid = np.asarray(batch.tokens, dtype=np.float32)
-    perms = np.stack([rng.permutation(grid.shape[1]) for _ in range(grid.shape[0])])
-    shuffled = np.stack([g[perm] for g, perm in zip(grid, perms)])
-    return CutMixBatch(tokens=shuffled, soft_label=batch.soft_label), perms
+    tokens = np.asarray(tokens, dtype=np.float32)
+    perms = np.stack([rng.permutation(tokens.shape[1]) for _ in range(tokens.shape[0])])
+    return np.take_along_axis(tokens, perms[..., None], axis=1), perms
 
 
 def unshuffle_grid(grid: np.ndarray, perms: np.ndarray) -> np.ndarray:
     """Invert ``shuffle_tokens`` on a (batch, M, d) array."""
     grid = np.asarray(grid)
     out = np.empty_like(grid)
-    for b in range(grid.shape[0]):
-        out[b, perms[b]] = grid[b]
+    np.put_along_axis(out, perms[..., None], grid, axis=1)
     return out
 
 

@@ -87,7 +87,7 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
             else:
                 kept = keep_count(config.keep_ratio, tokens)
             masks[i] = generate_mask_set([kept, tokens - kept], tokens, rng)[0]
-        feats = cut(smashed, masks).tokens
+        feats = cut(smashed, masks)
     elif name in ("mixup", "patch_cutmix", "shuffled_cutmix"):
         # Pair each sample with a distinct partner via a random cyclic order.
         order = rng.permutation(n)
@@ -96,14 +96,18 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
         if name == "mixup":
             feats = manifold_mixup(smashed, smashed[pair], config.mixup_lam)
         else:
-            feats = np.empty_like(smashed)
+            # Draw per sample (counts, masks, shuffle), then cut and add all pairs.
+            masks = np.empty((2, n, tokens), dtype=np.uint8)
+            perms = []
             for i in range(n):
                 counts = sample_mixing_counts(2, config.cutmix_alpha, tokens, rng)
-                masks = generate_mask_set(counts, tokens, rng)
-                feats[i] = (smashed[i] * masks[0][:, None]
-                            + smashed[pair[i]] * masks[1][:, None])
+                masks[:, i] = generate_mask_set(counts, tokens, rng)
                 if name == "shuffled_cutmix":
-                    feats[i] = feats[i][rng.permutation(tokens)]
+                    perms.append(rng.permutation(tokens))
+            first, second = cut(np.stack([smashed, smashed[pair]]), masks)
+            feats = first + second
+            if perms:
+                feats = np.take_along_axis(feats, np.stack(perms)[..., None], axis=1)
     else:
         raise ContractError(f"unknown representation {name!r}")
     return feats.reshape(n, -1).astype(np.float32), targets

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .mixing import (CutMixBatch, CutSmashed, CutoutMasker, add_gaussian_noise,
+from .mixing import (CutMixBatch, CutoutMasker, add_gaussian_noise,
                      add_label_noise, cut, cutmix_assemble, generate_mask_set,
                      sample_mixing_counts, shuffle_tokens, unshuffle_grid)
 from .model import ClientSegment, ModelConfig, ServerSegment, client_forward, server_forward
@@ -169,7 +169,7 @@ class RoundOptions:
 @dataclass
 class RoundMetrics:
     round_index: int
-    client_uplink_bytes: dict[int, int]
+    client_uplink_bytes: list[int]  # client i's at index i
     total_uplink_bytes: int
     total_activation_bytes: int
     server_updates: int
@@ -218,7 +218,7 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
     if options.noise_y > 0:
         label_rows = np.stack([add_label_noise(y, options.noise_y, hub.noise(round_index, cid, 1))
                                for cid, y in enumerate(label_rows)])
-    uploads = cut(values, masks[:, None]).tokens
+    uploads = cut(values, masks[:, None])
     validate_upload(uploads, masks)
     kept = masks.sum(axis=1)
     batch, dim = uploads.shape[1], uploads.shape[-1]
@@ -240,11 +240,10 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
         if len(members) == 1:
             mixed = CutMixBatch(tokens=uploads[members[0]], soft_label=label_rows[members[0]])
         else:
-            mixed = cutmix_assemble([CutSmashed(uploads[m], masks[m], m) for m in members],
-                                    [label_rows[m] for m in members], kept[members], tokens)
+            mixed = cutmix_assemble(uploads[members], masks[members], label_rows[members], members)
         perms = None
         if options.shuffle:
-            mixed, perms = shuffle_tokens(mixed, hub.shuffles(round_index, gid))
+            mixed.tokens, perms = shuffle_tokens(mixed.tokens, hub.shuffles(round_index, gid))
         mixed_batches.append(mixed)
         # Each pass runs the server once, steps it once, and routes its
         # gradient to the pass's members.  ktimes makes one pass per member,
@@ -271,7 +270,7 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
 
     metrics = RoundMetrics(
         round_index=round_index,
-        client_uplink_bytes=dict(enumerate(uplink)),
+        client_uplink_bytes=uplink,
         total_uplink_bytes=sum(uplink),
         total_activation_bytes=int(kept.sum()) * dim * FLOAT_BYTES * batch,
         server_updates=len(losses),  # one step per server pass

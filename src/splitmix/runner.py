@@ -148,9 +148,9 @@ def _csv_header(n_clients: int) -> list[str]:
             + ["total_bytes", "server_updates", "loss", "acc"])
 
 
-def _csv_row(metrics: RoundMetrics, n_clients: int) -> list[str]:
+def _csv_row(metrics: RoundMetrics) -> list[str]:
     row = [str(metrics.round_index)]
-    row += [str(metrics.client_uplink_bytes.get(c, 0)) for c in range(n_clients)]
+    row += [str(b) for b in metrics.client_uplink_bytes]
     row += [str(metrics.total_uplink_bytes), str(metrics.server_updates),
             f"{metrics.train_loss:.6f}",
             "" if metrics.eval_accuracy is None else f"{metrics.eval_accuracy:.4f}"]
@@ -215,7 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     metrics.eval_accuracy = acc
                     best_acc = acc if best_acc is None else max(best_acc, acc)
                     final_acc = acc
-                writer.writerow(_csv_row(metrics, cfg.n_clients))
+                writer.writerow(_csv_row(metrics))
                 total_uplink += metrics.total_uplink_bytes
                 total_activation += metrics.total_activation_bytes
                 server_updates_total += metrics.server_updates

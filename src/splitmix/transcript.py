@@ -73,8 +73,9 @@ class TranscriptWriter:
 
         ``groups`` lists each group's members.  ``masks``, ``uploads`` and
         ``labels`` are the fleet's ``(n, M)``, ``(n, batch, M, d)`` and
-        ``(n, batch, classes)`` arrays, row i for client i.  ``batches`` holds
-        each group's mixed batch (``tokens``, ``soft_label``), and ``passes``
+        ``(n, batch, classes)`` arrays, row i for client i, the uploads as
+        ``mixing.cut`` left them.  ``batches`` holds each group's
+        ``CutMixBatch`` as the server received it, and ``passes``
         each server pass's group id and the gradient messages it sent
         (``target``, ``broadcast``, ``grad``), in the order they ran.
         """

@@ -126,8 +126,8 @@ def test_criterion_3_mixing_algebra_oracle():
         grids = [rng.normal(size=(2, tokens, 3)).astype(np.float32) for _ in range(k)]
         labels = [rng.dirichlet(np.ones(5)).astype(np.float32)[None].repeat(2, 0)
                   for _ in range(k)]
-        parts = [cut(g, m, client_id=i) for i, (g, m) in enumerate(zip(grids, masks))]
-        out = cutmix_assemble(parts, labels, counts, tokens)
+        parts = [cut(g, m) for g, m in zip(grids, masks)]
+        out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(k))
         for pos in range(tokens):
             owner = int(np.argmax(masks[:, pos]))
             if not np.array_equal(out.tokens[:, pos, :], grids[owner][:, pos, :]):
@@ -194,7 +194,7 @@ def test_criterion_4_gradient_correctness():
     worst = 0.0
     for mode in ("unicast", "broadcast"):
         smashed = client_forward(fleet, np.stack(images), config)
-        cuts = [cut(s, m).tokens for s, m in zip(smashed.values, masks)]
+        cuts = [cut(s, m) for s, m in zip(smashed.values, masks)]
         inputs = Tensor(cuts[0] + cuts[1], requires_grad=True)
         loss = cross_entropy(server_forward(server_segment, inputs, config),
                              Tensor(soft))

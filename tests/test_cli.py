@@ -105,6 +105,18 @@ class TestCliParsing:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_out_dir_that_is_a_file_is_a_usage_error(self, tmp_path, capsys):
+        # Checked before any work: with the default config, `attack` would
+        # otherwise train its snapshot first.
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for command in ("train", "attack"):
+            for out_dir in (taken, taken / "sub"):
+                assert main([command, "--out-dir", str(out_dir)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: out_dir ") and str(out_dir) in err
+        assert taken.read_text() == "keep"
+
     def test_counts_below_one_are_usage_errors(self, capsys):
         for field in ("eval_every", "batch_size", "epochs", "n_clients",
                       "attack_pretrain_epochs", "k_way", "attack_batch_size",

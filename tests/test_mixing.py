@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splitmix.errors import ContractError, DimensionError, ProtocolError
-from splitmix.mixing import (CutMixBatch, CutoutMasker, add_gaussian_noise,
+from splitmix.mixing import (CutoutMasker, add_gaussian_noise,
                              add_label_noise, cut, cutmix_assemble,
                              generate_mask_set, manifold_mixup,
                              sample_mixing_counts, shuffle_tokens, unshuffle_grid)
@@ -87,16 +87,25 @@ class TestCut:
     def test_identity_mask(self):
         grid = gen(0).normal(size=(2, 4, 3)).astype(np.float32)
         out = cut(grid, np.ones(4, dtype=np.uint8))
-        assert np.array_equal(out.tokens, grid)
+        assert np.array_equal(out, grid)
 
     def test_zero_mask(self):
         grid = gen(0).normal(size=(4, 3)).astype(np.float32)
-        assert not cut(grid, np.zeros(4, dtype=np.uint8)).tokens.any()
+        assert not cut(grid, np.zeros(4, dtype=np.uint8)).any()
 
     def test_alternating_mask_definition(self):
         grid = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=np.float32)
         out = cut(grid, np.array([1, 0, 1, 0], dtype=np.uint8))
-        assert np.array_equal(out.tokens, [[1, 2], [0, 0], [5, 6], [0, 0]])
+        assert np.array_equal(out, [[1, 2], [0, 0], [5, 6], [0, 0]])
+
+    def test_dropped_negative_rows_are_negative_zero(self):
+        # A dropped row is value * 0, so its zeros carry the value's sign;
+        # uploads and mixed grids are written to transcripts bit for bit.
+        grid = np.array([[-1.5, 2.0], [-3.0, 4.0]], dtype=np.float32)
+        out = cut(grid, np.array([0, 1], dtype=np.uint8))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, [[0, 0], [-3, 4]])
+        assert np.array_equal(np.signbit(out), [[True, False], [True, False]])
 
     def test_original_untouched_and_length_checked(self):
         grid = np.ones((4, 2), dtype=np.float32)
@@ -111,16 +120,16 @@ class TestCut:
             with pytest.raises(ContractError):
                 cut(grid, np.array(bad))
         for good in ([True, False], [1.0, 0.0]):
-            assert np.array_equal(cut(grid, np.array(good)).tokens, [[1, 1], [0, 0]])
+            assert np.array_equal(cut(grid, np.array(good)), [[1, 1], [0, 0]])
 
 
     def test_fleet_masks_cut_each_client_as_its_own_cut(self):
         rng = gen(7)
         fleet = rng.normal(size=(3, 2, 8, 4)).astype(np.float32)
         masks = (rng.random((3, 8)) < 0.5).astype(np.uint8)
-        out = cut(fleet, masks[:, None]).tokens
+        out = cut(fleet, masks[:, None])
         for grid, mask, row in zip(fleet, masks, out):
-            assert row.tobytes() == cut(grid, mask).tokens.tobytes()
+            assert row.tobytes() == cut(grid, mask).tobytes()
         with pytest.raises(DimensionError):
             cut(fleet, masks[:2, None])
         with pytest.raises(DimensionError):
@@ -132,11 +141,11 @@ class TestCutmixAssemble:
         tokens = 16
         masks = generate_mask_set(np.array([10, 6]), tokens, gen(3))
         grids = [gen(i).normal(size=(2, tokens, 4)).astype(np.float32) for i in range(2)]
-        parts = [cut(g, m, client_id=i) for i, (g, m) in enumerate(zip(grids, masks))]
-        labels = [np.zeros((2, 10), dtype=np.float32) for _ in range(2)]
+        parts = [cut(g, m) for g, m in zip(grids, masks)]
+        labels = np.zeros((2, 2, 10), dtype=np.float32)
         labels[0][:, 3] = 1.0
         labels[1][:, 7] = 1.0
-        out = cutmix_assemble(parts, labels, np.array([10, 6]), tokens)
+        out = cutmix_assemble(np.stack(parts), masks, labels, [0, 1])
         expected = np.zeros((2, 10), dtype=np.float32)
         expected[:, 3] = 0.625
         expected[:, 7] = 0.375
@@ -145,8 +154,8 @@ class TestCutmixAssemble:
     def test_single_member_is_plain_upload(self):
         grid = gen(5).normal(size=(2, 8, 3)).astype(np.float32)
         label = np.eye(4, dtype=np.float32)[:2]
-        part = cut(grid, np.ones(8, dtype=np.uint8))
-        out = cutmix_assemble([part], [label], np.array([8]), 8)
+        mask = np.ones(8, dtype=np.uint8)
+        out = cutmix_assemble(cut(grid, mask)[None], mask[None], label[None], [0])
         assert np.array_equal(out.tokens, grid)
         assert np.array_equal(out.soft_label, label)
 
@@ -159,27 +168,32 @@ class TestCutmixAssemble:
             grids = [rng.normal(size=(2, tokens, 3)).astype(np.float32) for _ in range(3)]
             labels = [rng.dirichlet(np.ones(5)).astype(np.float32)[None, :].repeat(2, 0)
                       for _ in range(3)]
-            parts = [cut(g, m, client_id=i) for i, (g, m) in enumerate(zip(grids, masks))]
-            out = cutmix_assemble(parts, labels, counts, tokens)
+            parts = [cut(g, m) for g, m in zip(grids, masks)]
+            out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(3))
             for pos in range(tokens):
                 owner = int(np.argmax(masks[:, pos]))
                 assert np.array_equal(out.tokens[:, pos, :], grids[owner][:, pos, :])
 
     def test_overlap_is_protocol_error(self):
-        grid = np.ones((1, 4, 2), dtype=np.float32)
-        a = cut(grid, np.array([1, 1, 0, 0], dtype=np.uint8), client_id=0)
-        b = cut(grid, np.array([0, 1, 1, 1], dtype=np.uint8), client_id=1)
-        label = np.ones((1, 2), dtype=np.float32) / 2
-        with pytest.raises(ProtocolError, match="client 1"):
-            cutmix_assemble([a, b], [label, label], np.array([2, 2]), 4)
+        grids = np.ones((3, 1, 4, 2), dtype=np.float32)
+        masks = np.array([[0, 0, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
+        labels = np.ones((3, 1, 2), dtype=np.float32) / 2
+        with pytest.raises(ProtocolError, match="position 3 claimed by client 7"):
+            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [4, 7, 9])
+        masks[1:] = [[1, 1, 0, 0], [0, 0, 0, 0]]
+        with pytest.raises(ProtocolError, match="position 2 unclaimed"):
+            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [4, 7, 9])
 
     def test_label_shape_mismatch(self):
-        grid = np.ones((1, 2, 2), dtype=np.float32)
-        a = cut(grid, np.array([1, 0], dtype=np.uint8))
-        b = cut(grid, np.array([0, 1], dtype=np.uint8))
+        grids = np.ones((2, 1, 2, 2), dtype=np.float32)
+        masks = np.eye(2, dtype=np.uint8)
+        uploads = cut(grids, masks[:, None])
         with pytest.raises(DimensionError):
-            cutmix_assemble([a, b], [np.ones((1, 3), np.float32), np.ones((1, 4), np.float32)],
-                            np.array([1, 1]), 2)
+            cutmix_assemble(uploads, masks, np.ones((2, 2, 3), np.float32), [0, 1])
+        with pytest.raises(DimensionError):
+            cutmix_assemble(uploads, np.eye(3, dtype=np.uint8)[:2], np.ones((2, 1, 3)), [0, 1])
+        with pytest.raises(DimensionError):
+            cutmix_assemble(uploads, masks, np.ones((2, 1, 3), np.float32), [0])
 
     def test_literal_two_way_form(self):
         # k=2 assemble equals cut(s_i, B1) + cut(s_j, B2) bitwise.
@@ -188,9 +202,9 @@ class TestCutmixAssemble:
         s_i = rng.normal(size=(3, 16, 5)).astype(np.float32)
         s_j = rng.normal(size=(3, 16, 5)).astype(np.float32)
         label = np.full((3, 4), 0.25, dtype=np.float32)
-        out = cutmix_assemble([cut(s_i, masks[0]), cut(s_j, masks[1])],
-                              [label, label], np.array([9, 7]), 16)
-        direct = cut(s_i, masks[0]).tokens + cut(s_j, masks[1]).tokens
+        out = cutmix_assemble(np.stack([cut(s_i, masks[0]), cut(s_j, masks[1])]),
+                              masks, np.stack([label, label]), [0, 1])
+        direct = cut(s_i, masks[0]) + cut(s_j, masks[1])
         assert np.array_equal(out.tokens, direct)
 
     def test_unmix_by_mask_recovers_transmitted_rows(self):
@@ -198,9 +212,9 @@ class TestCutmixAssemble:
         counts = sample_mixing_counts(4, 1.0, 16, rng)
         masks = generate_mask_set(counts, 16, rng)
         grids = [rng.normal(size=(2, 16, 3)).astype(np.float32) for _ in range(4)]
-        labels = [np.full((2, 5), 0.2, dtype=np.float32)] * 4
+        labels = np.full((4, 2, 5), 0.2, dtype=np.float32)
         parts = [cut(g, m) for g, m in zip(grids, masks)]
-        out = cutmix_assemble(parts, labels, counts, 16)
+        out = cutmix_assemble(np.stack(parts), masks, labels, range(4))
         for g, m in zip(grids, masks):
             recovered = out.tokens * m[:, None]
             assert np.array_equal(recovered, g * m[:, None])
@@ -214,38 +228,37 @@ class TestCutmixAssemble:
                       for _ in range(k)]
             masks = generate_mask_set(counts, 16, rng)
             parts = [cut(np.zeros((1, 16, 2), np.float32), m) for m in masks]
-            out = cutmix_assemble(parts, labels, counts, 16)
+            out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(k))
             assert (out.soft_label >= -1e-7).all()
             assert abs(out.soft_label.sum() - 1.0) < 1e-6
 
 
 class TestShuffle:
     def test_single_row_is_identity(self):
-        batch = CutMixBatch(tokens=np.ones((2, 1, 3), np.float32),
-                            soft_label=np.ones((2, 2), np.float32) / 2)
-        out, _ = shuffle_tokens(batch, gen(0))
-        assert np.array_equal(out.tokens, batch.tokens)
+        grid = np.ones((2, 1, 3), np.float32)
+        out, _ = shuffle_tokens(grid, gen(0))
+        assert np.array_equal(out, grid)
 
     def test_rows_preserved_as_multiset(self):
         grid = gen(1).normal(size=(3, 8, 4)).astype(np.float32)
-        batch = CutMixBatch(tokens=grid, soft_label=np.ones((3, 2), np.float32) / 2)
-        out, _ = shuffle_tokens(batch, gen(2))
+        out, _ = shuffle_tokens(grid, gen(2))
         for b in range(3):
             original = {tuple(row) for row in grid[b]}
-            shuffled = {tuple(row) for row in out.tokens[b]}
+            shuffled = {tuple(row) for row in out[b]}
             assert original == shuffled
 
     def test_inverse_permutation_restores(self):
         grid = gen(3).normal(size=(4, 8, 4)).astype(np.float32)
-        batch = CutMixBatch(tokens=grid, soft_label=np.ones((4, 2), np.float32) / 2)
-        out, perms = shuffle_tokens(batch, gen(4))
-        assert np.array_equal(unshuffle_grid(out.tokens, perms), grid)
+        out, perms = shuffle_tokens(grid, gen(4))
+        assert np.array_equal(unshuffle_grid(out, perms), grid)
 
-    def test_label_unchanged(self):
-        label = gen(5).dirichlet(np.ones(4)).astype(np.float32)[None]
-        batch = CutMixBatch(tokens=np.zeros((1, 4, 2), np.float32), soft_label=label)
-        out, _ = shuffle_tokens(batch, gen(6))
-        assert np.array_equal(out.soft_label, label)
+    def test_one_permutation_per_sample_in_order(self):
+        grid = gen(5).normal(size=(3, 6, 2)).astype(np.float32)
+        out, perms = shuffle_tokens(grid, gen(6))
+        draws = gen(6)
+        for b in range(3):
+            assert np.array_equal(perms[b], draws.permutation(6))
+            assert out[b].tobytes() == grid[b][perms[b]].tobytes()
 
 
 class TestManifoldMixup:
@@ -279,7 +292,7 @@ class TestCutout:
     def test_full_keep_is_identity(self):
         grid = gen(0).normal(size=(16, 3)).astype(np.float32)
         masker = CutoutMasker(1.0, "per_iteration", 16, gen(1))
-        assert np.array_equal(cut(grid, masker.next_mask()).tokens, grid)
+        assert np.array_equal(cut(grid, masker.next_mask()), grid)
 
     def test_half_keep_popcount(self):
         masker = CutoutMasker(0.5, "per_iteration", 16, gen(2))

@@ -249,9 +249,9 @@ class TestRunRound:
 
     def test_uplink_conservation(self):
         metrics = self.run(6, RoundOptions(k_way=3, alpha=6.0))
-        assert metrics.total_uplink_bytes == sum(metrics.client_uplink_bytes.values())
+        assert metrics.total_uplink_bytes == sum(metrics.client_uplink_bytes)
         # Each client that sends anything adds a header and its 4 x 4 label rows.
-        senders = sum(b > 0 for b in metrics.client_uplink_bytes.values())
+        senders = sum(b > 0 for b in metrics.client_uplink_bytes)
         overhead = metrics.total_uplink_bytes - metrics.total_activation_bytes
         assert overhead == senders * (16 + 4 * 4 * 4)
 
@@ -474,7 +474,7 @@ class TestFleetMatchesPerClientReference:
             for r in range(rounds):
                 metrics = run_round(fleet, server, images[r], labels[r], CFG, self.CASES[case],
                                     RngHub(seed), r, transcript=TranscriptWriter(fh))
-                rows.append(_csv_row(metrics, n))
+                rows.append(_csv_row(metrics))
         monkeypatch.undo()
         params = {k: t.values.tobytes() for k, t in fleet.segment.parameters().items()}
         return rows, path.read_bytes(), params
