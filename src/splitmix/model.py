@@ -11,7 +11,6 @@ mixing always operate over exactly the patch-token rows.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .errors import ContractError, DimensionError
 from .tensor import (Tensor, add, attention, concat, embed, expand_batch, gelu, layer_norm,
                      linear, reshape, slice_rows)
-from .transcript import BinaryReader
 
 
 @dataclass(frozen=True)
@@ -254,74 +252,3 @@ def fleet_of(segment: ClientSegment, n: int) -> ClientSegment:
     """A fleet of n clients, each starting from a fleet of one's parameters."""
     return ClientSegment(*(Tensor(np.repeat(t.values, n, axis=0), requires_grad=True)
                            for t in segment.parameters().values()))
-
-
-# ---------------------------------------------------------------------------
-# Parameter checkpoint container.
-#
-# Layout (all little-endian):
-#   magic b"SMXC" | u32 version (=1) | u32 tensor count
-#   per tensor: u16 name length | utf-8 name | u8 ndim | ndim x u32 dims
-#               | float32 payload (row-major)
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"SMXC"
-_CKPT_VERSION = 1
-
-
-def save_checkpoint(path, named: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<II", _CKPT_VERSION, len(named)))
-        for name, array in named.items():
-            data = np.ascontiguousarray(array, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            fh.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            fh.write(data.tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    reader = BinaryReader.from_file(path)
-    if reader.take(4, "magic") != _CKPT_MAGIC:
-        reader.fail("not a checkpoint file (bad magic)", 0)
-    version, count = reader.unpack("II", "header")
-    if version != _CKPT_VERSION:
-        reader.fail(f"unsupported checkpoint version {version}", 4)
-    named: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        at = reader.pos
-        (name_len,) = reader.unpack("H", "name length")
-        name = reader.text(name_len, "tensor name")
-        if name in named:
-            reader.fail(f"second tensor named '{name}'", at)
-        (ndim,) = reader.unpack("B", f"rank of '{name}'")
-        dims = reader.unpack(f"{ndim}I", f"dims of '{name}'")
-        named[name] = reader.f32(dims, f"payload of '{name}'")
-    reader.done(f"{count} tensors")
-    return named
-
-
-def segments_to_named(client: ClientSegment | None,
-                      server: ServerSegment | None) -> dict[str, np.ndarray]:
-    """``client`` is one client's segment (a fleet of one), stored without the fleet axis."""
-    named: dict[str, np.ndarray] = {}
-    if client is not None:
-        for key, tensor in client.parameters().items():
-            named[f"client.{key}"] = tensor.values[0]
-    if server is not None:
-        for key, tensor in server.parameters().items():
-            named[f"server.{key}"] = tensor.values
-    return named
-
-
-def named_to_segments(named: dict[str, np.ndarray],
-                      config: ModelConfig) -> tuple[ClientSegment, ServerSegment]:
-    client, server = init_parameters(config, seed=0)
-    for key, tensor in client.parameters().items():
-        tensor.values = np.asarray(named[f"client.{key}"], dtype=np.float32)[None]
-    for key, tensor in server.parameters().items():
-        tensor.values = np.asarray(named[f"server.{key}"], dtype=np.float32)
-    return client, server

@@ -79,18 +79,16 @@ class AdamW:
 
 
 class WarmupCosine:
-    """Linear warmup to ``base_lr`` then cosine decay to ``min_lr``."""
+    """Linear warmup to ``base_lr`` then cosine decay to 0."""
 
-    def __init__(self, base_lr: float, total_steps: int, warmup_steps: int = 0,
-                 min_lr: float = 0.0):
+    def __init__(self, base_lr: float, total_steps: int, warmup_steps: int = 0):
         self.base_lr = float(base_lr)
         self.total_steps = max(1, int(total_steps))
         self.warmup_steps = max(0, int(warmup_steps))
-        self.min_lr = float(min_lr)
 
     def lr_at(self, step: int) -> float:
         if self.warmup_steps and step < self.warmup_steps:
             return self.base_lr * (step + 1) / self.warmup_steps
         span = max(1, self.total_steps - self.warmup_steps)
         progress = min(1.0, (step - self.warmup_steps) / span)
-        return self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + math.cos(math.pi * progress))
+        return 0.5 * self.base_lr * (1.0 + math.cos(math.pi * progress))

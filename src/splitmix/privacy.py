@@ -19,7 +19,7 @@ from .mixing import cut, generate_mask_set, keep_count, manifold_mixup, sample_m
 from .model import ClientSegment, ModelConfig, client_forward
 from .optim import AdamW
 from .rng import STREAM_ATTACK, stream_generator
-from .tensor import Tensor, add, backward, gelu, linear, mean, mul, no_grad, scale
+from .tensor import Tensor, backward, gelu, linear, mse, no_grad
 
 REPRESENTATIONS = ("smashed", "cutsmashed", "mixup", "patch_cutmix", "shuffled_cutmix")
 
@@ -189,9 +189,7 @@ def run_attack(config: AttackConfig,
         for start in range(0, train_idx.size, config.batch_size):
             take = order[start:start + config.batch_size]
             pred = decoder.forward(Tensor(x_train[take]))
-            diff = add(pred, scale(Tensor(y_train[take]), -1.0))
-            loss = mean(mul(diff, diff))
-            backward(loss)
+            backward(mse(pred, y_train[take]))
             opt.step()
             opt.zero_grads()
 

@@ -186,12 +186,12 @@ def train_rounds(system: TrainingSystem, transcript=None):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train per the config; write per-round CSV metrics and a JSON summary."""
     started = time.perf_counter()
+    os.makedirs(cfg.out_dir, exist_ok=True)
     model_cfg = model_config_for(cfg)
     train, test = load_experiment_data(cfg)
     hub = RngHub(cfg.seed)
     system = TrainingSystem(cfg, model_cfg, train, hub)
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "metrics.csv")
     summary_path = os.path.join(cfg.out_dir, "summary.json")
     transcript_path = os.path.join(cfg.out_dir, "transcript.bin")
@@ -259,6 +259,7 @@ def train_snapshot(cfg: ExperimentConfig) -> tuple[Snapshot, Dataset]:
 
 def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) -> dict:
     """Five representations x fractions {0.1, 1.0}; table-shaped JSON output."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if snapshot is None:
         snapshot, _ = train_snapshot(cfg)
     seed = cfg.attack_seed if cfg.attack_seed is not None else cfg.seed
@@ -287,7 +288,6 @@ def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) ->
         "mse": table,
         "reports": [dataclasses.asdict(r) for r in reports],
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "attack_report.json"), "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
     return result

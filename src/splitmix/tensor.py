@@ -15,9 +15,8 @@ Contracts:
     parameter's shape;
   * leaf gradients accumulate across ``backward`` calls until the
     optimizer's ``zero_grads`` clears them;
-  * no broadcasting except a smaller operand whose shape matches the
-    trailing dimensions of the larger one (row-wise bias addition and the
-    positional-table / mask patterns that reduce to it);
+  * no broadcasting: ``add`` takes operands of equal shape, and a fused
+    node states the shapes it takes;
   * graphs are single-threaded; independent graphs share no state.
 """
 
@@ -148,48 +147,11 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
             flowing[key] = pgrad if key not in flowing else flowing[key] + pgrad
 
 
-def _check_trailing(a: Tensor, b: Tensor, op: str) -> bool:
-    """True if b broadcasts onto a's trailing dims; error if incompatible."""
-    if a.shape == b.shape:
-        return False
-    if b.ndim < a.ndim and b.shape == a.shape[a.ndim - b.ndim:]:
-        return True
-    raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} are incompatible")
-
-
-def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    lead = grad.ndim - len(shape)
-    return grad.sum(axis=tuple(range(lead))) if lead else grad
-
-
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    broadcast = _check_trailing(a, b, "add")
-    out = a.values + b.values
-
-    def bwd(g):
-        return g, _sum_to(g, b.shape) if broadcast else g
-
-    return _node(out, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    broadcast = _check_trailing(a, b, "mul")
-    out = a.values * b.values
-
-    def bwd(g):
-        ga = g * b.values
-        gb = g * a.values
-        return ga, _sum_to(gb, b.shape) if broadcast else gb
-
-    return _node(out, (a, b), bwd)
-
-
-def scale(a, factor: float) -> Tensor:
-    a = _as_tensor(a)
-    factor = float(factor)
-    return _node(a.values * factor, (a,), lambda g: (g * factor,))
+    if a.shape != b.shape:
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} differ")
+    return _node(a.values + b.values, (a, b), lambda g: (g, g))
 
 
 def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
@@ -448,16 +410,6 @@ def slice_rows(a, start: int, stop: int) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def mean(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.values.size == 0:
-        raise DimensionError("mean of an empty tensor")
-    n = a.values.size
-    out = np.float32(a.values.mean())
-    shape = a.shape
-    return _node(np.asarray(out), (a,), lambda g: (np.full(shape, g / n, dtype=np.float32),))
-
-
 def expand_batch(a, batch: int) -> Tensor:
     """Stack ``batch`` copies of ``a`` along a new leading axis."""
     a = _as_tensor(a)
@@ -492,3 +444,28 @@ def cross_entropy(logits, labels) -> Tensor:
         return g * (probs * labels.values.sum(axis=1, keepdims=True) - labels.values) / batch, None
 
     return _node(out, (logits, labels), bwd)
+
+
+def mse(pred, target) -> Tensor:
+    """Mean squared error of ``pred`` against a constant ``target`` of its shape.
+
+    One node stands for the chain ``mean(mul(d, d))`` with
+    ``d = add(pred, scale(target, -1))`` and evaluates its numpy expressions
+    in the chain's order, so value and gradient match it bit for bit.  The
+    gradient is ``h + h`` with ``h = (g / n) * d``: ``mul``'s two parent
+    gradients, equal because both parents are ``d``, summed as ``backward``
+    summed them.
+    """
+    pred, target = _as_tensor(pred), _as_tensor(target)
+    if pred.shape != target.shape:
+        raise DimensionError(f"mse: shapes {pred.shape} and {target.shape} differ")
+    if pred.values.size == 0:
+        raise DimensionError("mse of an empty tensor")
+    d = pred.values + target.values * -1.0
+    n = d.size
+
+    def bwd(g):
+        h = np.full(d.shape, g / n, dtype=np.float32) * d
+        return (h + h,)
+
+    return _node(np.asarray(np.float32((d * d).mean())), (pred,), bwd)

@@ -161,13 +161,6 @@ class BinaryReader:
     def unpack(self, fmt: str, field: str) -> tuple:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), field))
 
-    def text(self, nbytes: int, field: str) -> str:
-        at = self.pos
-        try:
-            return str(self.take(nbytes, field), "utf-8")
-        except UnicodeDecodeError:
-            self.fail(f"{field} is not valid UTF-8", at)
-
     def f32(self, shape: tuple, field: str) -> np.ndarray:
         at = self.pos
         raw = self.take(4 * math.prod(shape), field)

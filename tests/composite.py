@@ -1,11 +1,13 @@
 """The composite ops that fused nodes replace, kept as references.
 
-``matmul``, ``softmax`` and ``transpose`` are the engine's former ops,
-unchanged; ``attention`` is the chain the model ran before
-``tensor.attention`` became one node, ``gelu`` the engine's GELU before it
-wrote its temporaries in place, and ``client_forward`` one client's
-embedding before the fleet's became one ``embed`` node.  The engine's ops
-are held to these bit for bit, in values and in gradients.
+``matmul``, ``softmax``, ``transpose``, ``mul``, ``scale`` and ``mean`` are
+the engine's former ops, unchanged (``mul`` still broadcasts a smaller
+operand over the trailing dimensions of the larger one); ``attention`` is
+the chain the model ran before ``tensor.attention`` became one node,
+``mse`` the decoder loss before ``tensor.mse`` did, ``gelu`` the engine's
+GELU before it wrote its temporaries in place, and ``client_forward`` one
+client's embedding before the fleet's became one ``embed`` node.  The
+engine's ops are held to these bit for bit, in values and in gradients.
 ``server_forward`` is the server pass before its last block computed only
 the class row: every block over all rows, then the class row sliced out.
 It is held to the model's pass in value, not in bits.
@@ -21,7 +23,7 @@ from splitmix import tensor
 from splitmix.errors import DimensionError
 from splitmix.model import extract_patches
 from splitmix.tensor import (_GELU_C, _GELU_K, Tensor, _as_tensor, _node, add, concat,
-                             expand_batch, layer_norm, linear, reshape, scale, slice_rows)
+                             expand_batch, layer_norm, linear, reshape, slice_rows)
 
 
 def matmul(a, b) -> Tensor:
@@ -63,6 +65,41 @@ def transpose(a, axes: tuple[int, ...]) -> Tensor:
     inverse = np.argsort(axes)
     out = np.transpose(a.values, axes)
     return _node(out, (a,), lambda g: (np.transpose(g, inverse),))
+
+
+def mul(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    lead = a.ndim - b.ndim
+    if lead < 0 or a.shape[lead:] != b.shape:
+        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} are incompatible")
+
+    def bwd(g):
+        gb = g * a.values
+        return g * b.values, gb.sum(axis=tuple(range(lead))) if lead else gb
+
+    return _node(a.values * b.values, (a, b), bwd)
+
+
+def scale(a, factor: float) -> Tensor:
+    a = _as_tensor(a)
+    factor = float(factor)
+    return _node(a.values * factor, (a,), lambda g: (g * factor,))
+
+
+def mean(a) -> Tensor:
+    a = _as_tensor(a)
+    if a.values.size == 0:
+        raise DimensionError("mean of an empty tensor")
+    n = a.values.size
+    out = np.float32(a.values.mean())
+    shape = a.shape
+    return _node(np.asarray(out), (a,), lambda g: (np.full(shape, g / n, dtype=np.float32),))
+
+
+def mse(pred, target) -> Tensor:
+    """The decoder's former loss: ``mean(mul(d, d))``, ``d = pred - target``."""
+    diff = add(pred, scale(Tensor(target), -1.0))
+    return mean(mul(diff, diff))
 
 
 def gelu(a) -> Tensor:
@@ -120,6 +157,7 @@ def server_forward(segment, tokens, config):
 
 def client_forward(weight, bias, pos, images, config):
     """One client's embedding of ``(batch, C, H, W)`` images: a ``linear`` of its
-    ``(d, P)`` weight and ``(d,)`` bias, then an ``add`` of its ``(M, d)`` table."""
+    ``(d, P)`` weight and ``(d,)`` bias, then an ``add`` of its ``(M, d)`` table,
+    repeated over the batch."""
     patches = Tensor(extract_patches(images, config))
-    return add(linear(patches, weight, bias), pos)
+    return add(linear(patches, weight, bias), expand_batch(pos, images.shape[0]))

@@ -36,6 +36,7 @@ from splitmix.optim import AdamW
 from splitmix.protocol import (ClientFleet, RoundOptions, ServerState, one_hot,
                                route_gradients, run_round, upload_bytes)
 from splitmix.rng import RngHub
+from splitmix import runner
 from splitmix.runner import run_attack_suite, run_experiment
 from splitmix.tensor import Tensor, backward, cross_entropy, reshape
 from splitmix.transcript import TranscriptWriter, read_transcript
@@ -319,7 +320,11 @@ PRIVACY_ORDER = ("shuffled_cutmix", "cutsmashed", "patch_cutmix", "mixup", "smas
 
 
 @pytest.mark.slow
-def test_criterion_7_privacy_ordering():
+def test_criterion_7_privacy_ordering(monkeypatch):
+    # The gate reads the 10% column only.  Each cell is prepared and fitted on
+    # its own (test_privacy.test_suite_matches_cells_prepared_on_their_own),
+    # so fitting that column alone leaves its MSEs as they are.
+    monkeypatch.setattr(runner, "ATTACK_FRACTIONS", (0.1,))
     wins = 0
     per_seed = []
     for seed in (1, 2, 3):

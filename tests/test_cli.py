@@ -11,6 +11,7 @@ import pytest
 from splitmix.cli import _add_common_flags, build_config, main
 from splitmix.config import ExperimentConfig
 from splitmix.errors import ContractError
+from splitmix import runner
 from splitmix.runner import CSV_SCHEMA, run_attack_suite, run_experiment
 
 
@@ -213,6 +214,23 @@ def fast_cfg(tmp_path, **overrides):
                 out_dir=str(tmp_path / "run"))
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def test_runner_checks_out_dir_before_any_work(tmp_path, monkeypatch):
+    # Library callers, which bypass the CLI's check, get the OSError before
+    # the data is loaded or the attack snapshot trained.
+    def never(*args):
+        pytest.fail("work started before out_dir was created")
+
+    monkeypatch.setattr(runner, "load_experiment_data", never)
+    monkeypatch.setattr(runner, "train_snapshot", never)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    for out_dir in (taken, taken / "sub"):
+        for run in (run_experiment, run_attack_suite):
+            with pytest.raises(OSError):
+                run(fast_cfg(tmp_path, out_dir=str(out_dir)))
+    assert taken.read_text() == "keep"
 
 
 class TestRunExperiment:

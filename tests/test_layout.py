@@ -1,26 +1,27 @@
-"""Every module-level function and class in ``src/splitmix`` has a caller.
+"""Every module-level function and class in ``src/splitmix``, and every public
+method of its classes, has a caller.
 
-A name counts as used when ``src/``, ``bench/`` or ``scripts/``:
+A module-level name counts as used when ``src/``, ``bench/`` or ``scripts/``:
   * imports it from its module (``from .mixing import cut``);
   * uses it bare in its own module, outside its own definition;
   * reads it as an attribute of its module (``protocol.payload_meter``,
     ``sm.transcript.read_transcript``).
 
-Tests do not count.  Code that only tests reach is deleted, unless it is a
-documented feature that a planned caller is waiting on (``KEPT`` below).
+A method counts as used when those directories read an attribute of its name
+(``reader.take``, ``self.round_start``) outside the method's own definition.
+The match is by name alone, so a method shares its callers with any other
+attribute of that name.
+
+Tests do not count: code that only tests reach is deleted.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitmix"
 CALLERS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
-
-# The checkpoint API: its file format is documented (model.py, README) and
-# a resumed run, the next step for the determinism contract, loads it.
-KEPT = {("model", name) for name in
-        ("save_checkpoint", "load_checkpoint", "segments_to_named", "named_to_segments")}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -74,13 +75,34 @@ def uses() -> set[tuple[str, str]]:
     return used
 
 
+def methods() -> dict[tuple[str, str, str], ast.FunctionDef]:
+    """(module, class, name) of every public method of a package class."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found[(path.stem, stmt.name, item.name)] = item
+    return found
+
+
+def _attribute_reads(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def test_every_definition_has_a_caller_outside_tests():
-    unused = definitions() - uses() - KEPT
+    unused = definitions() - uses()
     listed = ", ".join(f"{module}.{name}" for module, name in sorted(unused))
     assert not unused, f"reached by tests only, or by nothing: {listed}"
 
 
-def test_kept_names_exist_and_still_wait_for_a_caller():
-    assert KEPT <= definitions()
-    wired = KEPT & uses()
-    assert not wired, f"now used by the program, drop from KEPT: {sorted(wired)}"
+def test_every_public_method_has_a_caller_outside_tests():
+    reads = Counter()
+    for base in CALLERS:
+        for path in sorted(base.rglob("*.py")):
+            reads += _attribute_reads(_parse(path))
+    unused = [f"{module}.{cls}.{name}" for (module, cls, name), node in sorted(methods().items())
+              if reads[name] - _attribute_reads(node)[name] <= 0]
+    assert not unused, f"reached by tests only, or by nothing: {', '.join(unused)}"

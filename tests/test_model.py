@@ -1,4 +1,4 @@
-"""Split ViT contracts: shapes, init, equivariances, gradients, checkpoints."""
+"""Split ViT contracts: shapes, init, equivariances, gradients."""
 
 import tracemalloc
 from dataclasses import replace
@@ -11,8 +11,7 @@ from splitmix import model
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, DimensionError
 from splitmix.model import (PROFILES, ClientSegment, ModelConfig, client_forward,
-                            init_parameters, load_checkpoint, named_to_segments,
-                            save_checkpoint, segments_to_named, server_forward)
+                            init_parameters, server_forward)
 from splitmix.runner import _forward_accuracy
 from splitmix.tensor import Tensor, backward, cross_entropy, reshape
 
@@ -292,16 +291,3 @@ def test_server_forward_finite_for_bounded_tokens():
     out = server_forward(server, Tensor(tokens.astype(np.float32)), TINY)
     assert np.isfinite(out.values).all()
 
-
-def test_checkpoint_round_trip(tmp_path):
-    client, server = init_parameters(TINY, seed=8)
-    path = tmp_path / "model.ckpt"
-    named = segments_to_named(client, server)
-    save_checkpoint(path, named)
-    loaded = load_checkpoint(path)
-    assert set(loaded) == set(named)
-    for key, array in named.items():
-        assert np.array_equal(loaded[key], array)
-    client2, server2 = named_to_segments(loaded, TINY)
-    assert np.array_equal(client2.patch_weight.values, client.patch_weight.values)
-    assert np.array_equal(server2.head_weight.values, server.head_weight.values)

@@ -11,8 +11,7 @@ from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, IngestionError, ProtocolError
 from splitmix.mixing import CutoutMasker, generate_mask_set, sample_mixing_counts
 from splitmix.model import (ClientSegment, ModelConfig, client_forward, fleet_of,
-                            init_parameters, load_checkpoint, save_checkpoint,
-                            segments_to_named, server_forward)
+                            init_parameters, server_forward)
 from splitmix.optim import AdamW
 from splitmix import protocol
 from splitmix.protocol import (ClientFleet, RoundOptions, ServerState,
@@ -20,11 +19,12 @@ from splitmix.protocol import (ClientFleet, RoundOptions, ServerState,
                                run_round, upload_bytes, validate_upload)
 from splitmix.rng import RngHub
 from splitmix.runner import _csv_row
-from splitmix.tensor import Tensor, _node, add, backward, cross_entropy, mul, reshape
+from splitmix.tensor import Tensor, _node, add, backward, cross_entropy, reshape
 from splitmix.transcript import (BinaryReader, TranscriptWriter, encode_mask, mask_nbytes,
                                  read_transcript)
 
 import composite
+from composite import mul
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
                   depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
@@ -651,28 +651,20 @@ class TestTranscript:
         assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("kind", ["checkpoint", "transcript"])
-def test_malformed_files_load_or_raise_ingestion_error(tmp_path, kind):
-    """Every truncation and single-byte corruption of a small file either
-    loads or raises IngestionError naming a byte offset."""
-    path = tmp_path / kind
-    if kind == "checkpoint":
-        save_checkpoint(path, segments_to_named(*init_parameters(CFG, seed=8)))
-        load = load_checkpoint
-    else:
-        fleet, server = build_system(2, seed=1)
-        with open(path, "wb") as fh:
-            run_round(fleet, server, *build_batches(2, 1, seed=1), CFG,
-                      RoundOptions(k_way=2, alpha=6.0), RngHub(1), 0,
-                      transcript=TranscriptWriter(fh))
-        load = read_transcript
+def test_malformed_transcript_loads_or_raises_ingestion_error(tmp_path):
+    """Every truncation and single-byte corruption of a small transcript
+    either loads or raises IngestionError naming a byte offset."""
+    path = tmp_path / "transcript"
+    fleet, server = build_system(2, seed=1)
+    with open(path, "wb") as fh:
+        run_round(fleet, server, *build_batches(2, 1, seed=1), CFG,
+                  RoundOptions(k_way=2, alpha=6.0), RngHub(1), 0,
+                  transcript=TranscriptWriter(fh))
     blob = path.read_bytes()
-    # A byte past the last tensor, or inside the first record (round_start).
-    padded = (blob + b"\0" if kind == "checkpoint"
-              else blob[:8] + struct.pack("<BI", 1, 5) + blob[13:17] + b"\0" + blob[17:])
-    path.write_bytes(padded)
+    # A byte inside the first record (round_start).
+    path.write_bytes(blob[:8] + struct.pack("<BI", 1, 5) + blob[13:17] + b"\0" + blob[17:])
     with pytest.raises(IngestionError, match="trailing"):
-        load(path)
+        read_transcript(path)
     rng = np.random.default_rng(0)
     variants = [blob[:cut] for cut in range(len(blob))]
     for offset in range(len(blob)):
@@ -682,7 +674,7 @@ def test_malformed_files_load_or_raise_ingestion_error(tmp_path, kind):
     for variant in variants:
         path.write_bytes(variant)
         try:
-            load(path)
+            read_transcript(path)
             loaded += 1
         except IngestionError as exc:
             assert re.search(r"at byte \d+$", str(exc)), str(exc)

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from splitmix.errors import ContractError, DimensionError
 from splitmix.optim import AdamW
 from splitmix.tensor import (Tensor, add, attention, backward, concat, cross_entropy, embed,
-                             expand_batch, gelu, layer_norm, linear, mean, mul, no_grad,
-                             reshape, scale, slice_rows)
+                             expand_batch, gelu, layer_norm, linear, mse, no_grad, reshape,
+                             slice_rows)
 
 import composite
-from composite import matmul, softmax, transpose
+from composite import matmul, mean, mul, scale, softmax, transpose
 from oracles import (_ref_attention, central_difference, ref_cross_entropy, ref_gelu,
                      ref_layer_norm, ref_softmax)
 
@@ -65,8 +65,10 @@ class TestForwardValues:
         assert lhs == pytest.approx(rhs, abs=1e-6)
 
     def test_add_rejects_incompatible(self):
-        with pytest.raises(DimensionError):
-            add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        # No broadcasting, not even of a trailing-dimension operand.
+        for other in ((3, 2), (3,), (1, 3)):
+            with pytest.raises(DimensionError):
+                add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(other)))
 
 
 class TestBackward:
@@ -171,8 +173,8 @@ class TestBackward:
         tensors = {k: Tensor(v.astype(np.float32), requires_grad=True)
                    for k, v in params64.items()}
         h = gelu(add(matmul(Tensor(x64.astype(np.float32)), transpose(tensors["w1"], (1, 0))),
-                     tensors["b1"]))
-        logits = add(matmul(h, transpose(tensors["w2"], (1, 0))), tensors["b2"])
+                     expand_batch(tensors["b1"], 4)))
+        logits = add(matmul(h, transpose(tensors["w2"], (1, 0))), expand_batch(tensors["b2"], 4))
         backward(cross_entropy(logits, Tensor(labels.astype(np.float32))))
         for name, tensor in tensors.items():
             assert np.allclose(tensor.grad, expected[name], rtol=1e-2, atol=1e-4), name
@@ -195,7 +197,8 @@ def test_linear_matches_composite_bit_for_bit(lead, in_dim, out_dim):
         if fused:
             y = linear(x, w, b)
         else:
-            y = add(matmul(reshape(x, (rows, in_dim)), transpose(w, (1, 0))), b)
+            y = add(matmul(reshape(x, (rows, in_dim)), transpose(w, (1, 0))),
+                    expand_batch(b, rows))
             y = reshape(y, lead + (out_dim,))
         backward(y, upstream)
         return y.values, x.grad, w.grad, b.grad
@@ -203,6 +206,38 @@ def test_linear_matches_composite_bit_for_bit(lead, in_dim, out_dim):
     for name, got, want in zip(("values", "x.grad", "w.grad", "b.grad"), run(True), run(False)):
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+# Batch 1, widths that are not multiples of 8, and the attack decoder's
+# output layer at its batch of 64.
+@pytest.mark.parametrize("batch, in_dim, out_dim",
+                         [(1, 6, 5), (7, 9, 13), (64, 256, 768)],
+                         ids=["batch1", "odd-widths", "decoder-256-768"])
+def test_mse_matches_composite_bit_for_bit(batch, in_dim, out_dim):
+    rng = np.random.default_rng(batch)
+    x0 = rng.normal(size=(batch, in_dim)).astype(np.float32)
+    w0 = rng.normal(0, 0.3, size=(out_dim, in_dim)).astype(np.float32)
+    b0 = rng.normal(0, 0.1, size=(out_dim,)).astype(np.float32)
+    target = rng.uniform(size=(batch, out_dim)).astype(np.float32)
+
+    def run(loss_of):
+        # The decoder's step: a linear layer of leaves, then the loss.
+        w, b = Tensor(w0.copy(), requires_grad=True), Tensor(b0.copy(), requires_grad=True)
+        loss = loss_of(linear(Tensor(x0), w, b), target)
+        backward(loss)
+        return loss.values, w.grad, b.grad
+
+    for name, got, want in zip(("loss", "w.grad", "b.grad"), run(mse), run(composite.mse)):
+        assert got.dtype == want.dtype == np.float32, name
+        assert got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
+def test_mse_rejects_mismatched_and_empty_inputs():
+    with pytest.raises(DimensionError):
+        mse(Tensor(np.zeros((2, 3), np.float32)), np.zeros((3,), np.float32))
+    with pytest.raises(DimensionError):
+        mse(Tensor(np.zeros((0, 3), np.float32)), np.zeros((0, 3), np.float32))
 
 
 ATTENTION_PARAMS = ("q_weight", "q_bias", "k_weight", "k_bias", "v_weight", "v_bias")
@@ -420,6 +455,7 @@ def test_linear_rejects_mismatched_shapes():
 
 LN_GAIN = np.linspace(0.5, 1.5, 4, dtype=np.float32)
 LN_BIAS = np.linspace(-0.2, 0.2, 4, dtype=np.float32)
+MSE_TARGET = np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)
 
 OPS = {
     "gelu": (lambda t: gelu(t), (3, 4)),
@@ -429,6 +465,7 @@ OPS = {
     "reshape": (lambda t: reshape(t, (4, 3)), (3, 4)),
     "slice_rows": (lambda t: slice_rows(t, 1, 3), (4, 5)),
     "mean": (lambda t: mean(t), (3, 4)),
+    "mse": (lambda t: mse(t, MSE_TARGET), (3, 4)),
     "expand_batch": (lambda t: expand_batch(t, 3), (1, 4)),
 }
 
@@ -440,6 +477,7 @@ REF_OPS = {
     "reshape": lambda x: x.reshape(4, 3),
     "slice_rows": lambda x: x[..., 1:3, :],
     "mean": lambda x: np.asarray(x.mean()),
+    "mse": lambda x: np.asarray(((x - MSE_TARGET) ** 2).mean()),
     "expand_batch": lambda x: np.broadcast_to(x, (3,) + x.shape),
 }
 
@@ -466,7 +504,7 @@ def test_binary_op_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
     cases = {
         "matmul": (lambda a, b: matmul(a, b), lambda a, b: a @ b, (3, 4), (4, 2)),
-        "add_bias": (lambda a, b: add(a, b), lambda a, b: a + b, (3, 4), (4,)),
+        "add_bias": (lambda a, b: add(a, expand_batch(b, 3)), lambda a, b: a + b, (3, 4), (4,)),
         "mul": (lambda a, b: mul(a, b), lambda a, b: a * b, (3, 4), (3, 4)),
         "concat": (lambda a, b: concat([a, b], axis=0), lambda a, b: np.concatenate([a, b]),
                    (2, 3), (4, 3)),
