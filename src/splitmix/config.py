@@ -13,7 +13,6 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ContractError
-from .mixing import MASK_MODES
 from .model import PROFILES
 
 MIXING_METHODS = ("cutmixsl", "cutmixsfl", "cutmixsl_ktimes")
@@ -23,7 +22,6 @@ CHOICES = {
     "method": ("parallel_sl", "splitfed", *MIXING_METHODS),
     "gradient_mode": ("unicast", "broadcast"),
     "fedavg_cadence": ("epoch", "round"),
-    "mask_mode": MASK_MODES,
     "dataset": ("synthetic", "cifar10"),
     "partition_mode": ("iid", "dirichlet"),
     "profile": tuple(PROFILES),
@@ -41,10 +39,8 @@ class ExperimentConfig:
         default=6.0, metadata={"help": "Dirichlet dispersion: number, 'inf', or 'uniform'"})
     shuffle: bool = False
     gradient_mode: str = "unicast"
-    fedavg: bool | None = None  # None: derived from method
     fedavg_cadence: str = "epoch"
     keep_ratio: float = 1.0  # token cutout for the k=1 baseline
-    mask_mode: str = "per_iteration"
     noise_x: float = 0.0
     noise_y: float = 0.0
     dataset: str = "synthetic"
@@ -77,7 +73,6 @@ class ExperimentConfig:
     attack_keep_ratio: float | None = None
     attack_alpha: float = 6.0
     attack_pretrain_epochs: int = 3
-    attack_seed: int | None = None  # None: reuse seed
 
     def __post_init__(self):
         self.validate()
@@ -86,8 +81,6 @@ class ExperimentConfig:
 
     @property
     def fedavg_enabled(self) -> bool:
-        if self.fedavg is not None:
-            return self.fedavg
         return self.method in FEDAVG_METHODS
 
     @property
@@ -152,8 +145,6 @@ class ExperimentConfig:
         if self.k_way > self.n_clients:
             raise ContractError(f"k_way {self.k_way} exceeds n_clients {self.n_clients}: "
                                 f"a group cannot mix more clients than there are")
-        if self.method in FEDAVG_METHODS and self.fedavg is False:
-            raise ContractError(f"{self.method} requires federated averaging")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

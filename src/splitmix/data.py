@@ -96,8 +96,7 @@ def _class_templates(classes: int, image_size: int,
 def make_synthetic(num_samples: int, classes: int, image_size: int, seed: int,
                    channels: int = 3, noise_std: float = 0.1,
                    blob_radius: float | None = None, jitter: float = 1.0,
-                   amplitude: float = 0.7, mosaic_std: float = 0.0,
-                   mosaic_cell: int = 4) -> Dataset:
+                   mosaic_std: float = 0.0, mosaic_cell: int = 4) -> Dataset:
     """Class-conditional Gaussian-blob images, linearly separable by design.
 
     Each class owns a fixed blob center and color; a sample is its class
@@ -142,7 +141,7 @@ def make_synthetic(num_samples: int, classes: int, image_size: int, seed: int,
         cy, cx = (centers[chunk] + (0.0 + jitter * z[:, :2])).T
         blob = np.exp(-((ys - cy[:, None, None]) ** 2 + (xs - cx[:, None, None]) ** 2)
                       / (2.0 * blob_radius ** 2))
-        base = (amplitude * colors[chunk])[:, :, None, None] * blob[:, None] + 0.15
+        base = (0.7 * colors[chunk])[:, :, None, None] * blob[:, None] + 0.15
         if tiles:
             offsets = (0.0 + mosaic_std * z[:, 2:2 + tiles]).reshape(-1, channels, cells, cells)
             base = base + np.repeat(np.repeat(offsets, mosaic_cell, axis=2),

@@ -185,38 +185,6 @@ def keep_count(keep_ratio: float, tokens: int) -> int:
     return min(tokens, int(math.floor(keep_ratio * tokens + 0.5)))
 
 
-MASK_MODES = ("fixed", "per_iteration")
-
-
-class CutoutMasker:
-    """Random token-level cutout keeping round(keep_ratio * M) rows.
-
-    ``fixed`` mode draws one mask at first use and reuses it on every call;
-    ``per_iteration`` redraws a fresh mask each call.
-    """
-
-    def __init__(self, keep_ratio: float, mode: str, tokens: int,
-                 rng: np.random.Generator):
-        if mode not in MASK_MODES:
-            raise ContractError(f"unknown cutout mode {mode!r}")
-        self.count = keep_count(keep_ratio, tokens)
-        self.mode = mode
-        self.tokens = tokens
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def _draw(self) -> np.ndarray:
-        return generate_mask_set([self.count, self.tokens - self.count], self.tokens,
-                                 self.rng)[0]
-
-    def next_mask(self) -> np.ndarray:
-        if self.mode == "fixed":
-            if self._mask is None:
-                self._mask = self._draw()
-            return self._mask
-        return self._draw()
-
-
 def add_gaussian_noise(tokens: np.ndarray, sigma: float,
                        rng: np.random.Generator) -> np.ndarray:
     """i.i.d. N(0, sigma^2) added per element; sigma = 0 is the identity."""

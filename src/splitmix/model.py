@@ -129,16 +129,15 @@ class ServerSegment:
         return named
 
 
-def _truncated_normal(gen: np.random.Generator, shape, std: float = 0.02,
-                      bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) with |z| > bound resampled."""
+def _truncated_normal(gen: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) with |z| > 2 resampled."""
     out = gen.normal(0.0, 1.0, size=shape)
     while True:
-        over = np.abs(out) > bound
+        over = np.abs(out) > 2.0
         if not over.any():
             break
         out[over] = gen.normal(0.0, 1.0, size=int(over.sum()))
-    return (out * std).astype(np.float32)
+    return (out * 0.02).astype(np.float32)
 
 
 def init_parameters(config: ModelConfig, seed: int) -> tuple[ClientSegment, ServerSegment]:

@@ -22,14 +22,12 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.05):
         if not params:
             raise ContractError("AdamW needs at least one parameter")
         self.params = params
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         size = sum(p.values.size for p in params.values())

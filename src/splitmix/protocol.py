@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .mixing import (CutMixBatch, CutoutMasker, add_gaussian_noise,
-                     add_label_noise, cut, cutmix_assemble, generate_mask_set,
+from .mixing import (CutMixBatch, add_gaussian_noise, add_label_noise, cut,
+                     cutmix_assemble, generate_mask_set, keep_count,
                      sample_mixing_counts, shuffle_tokens, unshuffle_grid)
 from .model import ClientSegment, ModelConfig, ServerSegment, client_forward, server_forward
 from .optim import AdamW
@@ -145,7 +145,6 @@ class ClientFleet:
 
     segment: ClientSegment
     optimizer: AdamW
-    maskers: list[CutoutMasker] | None = None  # per-client token cutout, k=1 baseline
 
 
 @dataclass
@@ -163,6 +162,7 @@ class RoundOptions:
     ktimes: bool = False
     noise_x: float = 0.0
     noise_y: float = 0.0
+    keep_ratio: float = 1.0  # token cutout of a singleton group, the k=1 baseline
     apply_fedavg: bool = False
 
 
@@ -199,15 +199,21 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
     # --- clients: one forward for the fleet; the graph ends at the smashed data
     smashed = client_forward(fleet.segment, images, model_config)
 
-    # --- mixer: sequence generation, one mask per client, group by group --
+    # --- mixer: sequence generation, one mask per client, group by group.
+    # A singleton under cutout keeps the first block of a two-block mask
+    # set, drawn from the same (round, group) counter a mixing group uses.
     masks = np.ones((n, tokens), dtype=np.uint8)
+    keep = keep_count(options.keep_ratio, tokens)
     for gid, members in enumerate(groups):
         if len(members) > 1:
             allocation = sample_mixing_counts(
                 len(members), options.alpha, tokens, hub.allocations(round_index, gid))
-            masks[members] = generate_mask_set(allocation, tokens, hub.masks(round_index, gid))
-        elif fleet.maskers is not None:
-            masks[members[0]] = fleet.maskers[members[0]].next_mask()
+        elif keep < tokens:
+            allocation = [keep, tokens - keep]
+        else:
+            continue
+        mask_set = generate_mask_set(allocation, tokens, hub.masks(round_index, gid))
+        masks[members] = mask_set[:len(members)]
 
     # --- clients: noise, cut and upload, metered from the mask sums -------
     values = smashed.values

@@ -13,7 +13,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import Dataset, load_cifar10, make_synthetic, partition
 from .errors import ContractError, IngestionError
-from .mixing import CutoutMasker
 from .model import PROFILES, ModelConfig, client_forward, fleet_of, init_parameters, server_forward
 from .optim import AdamW, WarmupCosine
 from .privacy import (REPRESENTATIONS, AttackConfig, AttackReport, Snapshot,
@@ -26,6 +25,7 @@ from .transcript import TranscriptWriter
 
 CSV_SCHEMA = "splitmix-metrics-v1"
 ATTACK_FRACTIONS = (0.1, 1.0)
+_EVAL_CHUNK = 256  # test samples per evaluation forward
 
 
 def model_config_for(cfg: ExperimentConfig) -> ModelConfig:
@@ -70,14 +70,9 @@ class TrainingSystem:
         self.train = train
         base_client, server_segment = init_parameters(model_cfg, cfg.seed)
         segment = fleet_of(base_client, cfg.n_clients)
-        maskers = None
-        if cfg.keep_ratio < 1.0:
-            maskers = [CutoutMasker(cfg.keep_ratio, cfg.mask_mode, model_cfg.tokens,
-                                    hub.masks(cid, 0, 1)) for cid in range(cfg.n_clients)]
         self.fleet = ClientFleet(
             segment=segment,
-            optimizer=AdamW(segment.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay),
-            maskers=maskers)
+            optimizer=AdamW(segment.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay))
         self.server = ServerState(
             segment=server_segment,
             optimizer=AdamW(server_segment.parameters(), lr=cfg.lr,
@@ -110,17 +105,16 @@ class TrainingSystem:
             gradient_mode=cfg.gradient_mode, shuffle=cfg.shuffle,
             ktimes=cfg.method == "cutmixsl_ktimes",
             noise_x=cfg.noise_x, noise_y=cfg.noise_y,
-            apply_fedavg=apply_fedavg)
+            keep_ratio=cfg.keep_ratio, apply_fedavg=apply_fedavg)
 
 
-def _forward_accuracy(segment, server, dataset: Dataset, model_cfg: ModelConfig,
-                      chunk: int = 256) -> float:
+def _forward_accuracy(segment, server, dataset: Dataset, model_cfg: ModelConfig) -> float:
     """Top-1 accuracy of one client's segment (a fleet of one) and the server."""
     correct = 0
     with no_grad():
-        for start in range(0, len(dataset), chunk):
-            images = dataset.images[start:start + chunk]
-            labels = dataset.labels[start:start + chunk]
+        for start in range(0, len(dataset), _EVAL_CHUNK):
+            images = dataset.images[start:start + _EVAL_CHUNK]
+            labels = dataset.labels[start:start + _EVAL_CHUNK]
             tokens = client_forward(segment, images[None], model_cfg).values[0]
             logits = server_forward(server.segment, Tensor(tokens), model_cfg)
             correct += int((logits.values.argmax(axis=1) == labels).sum())
@@ -246,8 +240,7 @@ def train_snapshot(cfg: ExperimentConfig) -> tuple[Snapshot, Dataset]:
     train, test = load_experiment_data(cfg)
     hub = RngHub(cfg.seed)
     pre_cfg = ExperimentConfig.from_dict({**cfg.to_dict(), "method": "parallel_sl",
-                                          "k_way": 1, "fedavg": None,
-                                          "epochs": cfg.attack_pretrain_epochs,
+                                          "k_way": 1, "epochs": cfg.attack_pretrain_epochs,
                                           "keep_ratio": 1.0, "warmup_epochs": 0})
     system = TrainingSystem(pre_cfg, model_cfg, train, hub)
     for _ in train_rounds(system):
@@ -257,12 +250,10 @@ def train_snapshot(cfg: ExperimentConfig) -> tuple[Snapshot, Dataset]:
     return snapshot, test
 
 
-def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) -> dict:
+def run_attack_suite(cfg: ExperimentConfig) -> dict:
     """Five representations x fractions {0.1, 1.0}; table-shaped JSON output."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if snapshot is None:
-        snapshot, _ = train_snapshot(cfg)
-    seed = cfg.attack_seed if cfg.attack_seed is not None else cfg.seed
+    snapshot, _ = train_snapshot(cfg)
     reports: list[AttackReport] = []
     table: dict[str, dict[str, float]] = {}
     for representation in REPRESENTATIONS:
@@ -272,7 +263,7 @@ def run_attack_suite(cfg: ExperimentConfig, snapshot: Snapshot | None = None) ->
             decoder_width=cfg.attack_decoder_width,
             decoder_depth=cfg.attack_decoder_depth,
             epochs=cfg.attack_epochs, batch_size=cfg.attack_batch_size,
-            lr=cfg.attack_lr, seed=seed, keep_ratio=cfg.attack_keep_ratio,
+            lr=cfg.attack_lr, seed=cfg.seed, keep_ratio=cfg.attack_keep_ratio,
             cutmix_alpha=cfg.attack_alpha) for fraction in ATTACK_FRACTIONS]
         # The build reads no fraction, so both fractions share one; it is
         # dropped before the next is built, so only one is ever held.

@@ -256,12 +256,12 @@ def gelu(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Backward follows the standard per-row reduction: with normalized
     values ``h`` and upstream ``dh = g * gain``,
-    ``dx = (dh - mean(dh) - h * mean(dh * h)) / sqrt(var + eps)``.
+    ``dx = (dh - mean(dh) - h * mean(dh * h)) / sqrt(var + eps)``, eps = 1e-5.
     """
     a = _as_tensor(a)
     if a.ndim < 1 or a.shape[-1] == 0:
@@ -274,7 +274,7 @@ def layer_norm(a, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     mu = x.mean(axis=-1, keepdims=True)
     centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    inv = 1.0 / np.sqrt(var + np.float32(1e-5))
     normed = centered * inv
 
     def bwd(g):

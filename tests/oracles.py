@@ -122,8 +122,7 @@ def ref_server_forward(params, tokens, depth, heads):
 
 
 def ref_make_synthetic(num_samples, classes, image_size, seed, channels=3, noise_std=0.1,
-                       blob_radius=None, jitter=1.0, amplitude=0.7, mosaic_std=0.0,
-                       mosaic_cell=4):
+                       blob_radius=None, jitter=1.0, mosaic_std=0.0, mosaic_cell=4):
     """``data.make_synthetic`` one sample at a time, with three generator
     calls per sample: the loop the chunked generator is held to byte for byte."""
     from splitmix.data import _class_templates
@@ -141,7 +140,7 @@ def ref_make_synthetic(num_samples, classes, image_size, seed, channels=3, noise
     for i, label in enumerate(labels):
         cy, cx = centers[label] + gen.normal(0.0, jitter, size=2)
         blob = np.exp(-((ys - cy) ** 2 + (xs - cx) ** 2) / (2.0 * blob_radius ** 2))
-        base = amplitude * colors[label][:, None, None] * blob[None, :, :] + 0.15
+        base = 0.7 * colors[label][:, None, None] * blob[None, :, :] + 0.15
         if mosaic_std > 0:
             tiles = gen.normal(0.0, mosaic_std, size=(channels, cells, cells))
             base = base + np.repeat(np.repeat(tiles, mosaic_cell, axis=1),

@@ -320,7 +320,7 @@ PRIVACY_ORDER = ("shuffled_cutmix", "cutsmashed", "patch_cutmix", "mixup", "smas
 
 
 @pytest.mark.slow
-def test_criterion_7_privacy_ordering(monkeypatch):
+def test_criterion_7_privacy_ordering(monkeypatch, tmp_path):
     # The gate reads the 10% column only.  Each cell is prepared and fitted on
     # its own (test_privacy.test_suite_matches_cells_prepared_on_their_own),
     # so fitting that column alone leaves its MSEs as they are.
@@ -332,7 +332,7 @@ def test_criterion_7_privacy_ordering(monkeypatch):
             method="parallel_sl", n_clients=2, dataset="synthetic",
             synthetic_samples=2048, synthetic_test=512, synthetic_mosaic=0.25,
             synthetic_noise=0.05, epochs=10, warmup_epochs=1, batch_size=32,
-            seed=seed, out_dir=f"/tmp/splitmix_accept7/s{seed}",
+            seed=seed, out_dir=str(tmp_path / f"s{seed}"),
             attack_pretrain_epochs=6)
         mse = {rep: row["0.1"] for rep, row in run_attack_suite(cfg)["mse"].items()}
         ordered = (mse["shuffled_cutmix"] > mse["cutsmashed"] > mse["patch_cutmix"]

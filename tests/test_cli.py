@@ -36,13 +36,12 @@ class TestConfig:
             ExperimentConfig(method="splitfed", k_way=2)
         with pytest.raises(ContractError):
             ExperimentConfig(method="cutmixsl", k_way=1)
-        with pytest.raises(ContractError):
-            ExperimentConfig(method="splitfed", fedavg=False)
 
     def test_fedavg_derived_from_method(self):
         assert ExperimentConfig(method="splitfed").fedavg_enabled
         assert ExperimentConfig(method="cutmixsfl", k_way=2).fedavg_enabled
         assert not ExperimentConfig(method="parallel_sl").fedavg_enabled
+        assert not ExperimentConfig(method="cutmixsl_ktimes", k_way=2).fedavg_enabled
 
     @pytest.mark.parametrize("raw,field", [
         ({"n_clients": "4"}, "n_clients"), ({"lr": "x"}, "lr"), ({"k_way": 2.5}, "k_way"),
@@ -57,15 +56,29 @@ class TestConfig:
         assert err.startswith("error: ") and field in err
 
     def test_annotation_types(self):
-        ExperimentConfig(lr=1, keep_ratio=1, alpha="inf", fedavg=True, data_dir=None,
-                         synthetic_radius=None, attack_seed=None)
-        for bad in ({"fedavg": 1}, {"shuffle": None}, {"alpha": None}, {"out_dir": 3}):
+        ExperimentConfig(lr=1, keep_ratio=1, alpha="inf", shuffle=True, data_dir=None,
+                         synthetic_radius=None, attack_keep_ratio=None)
+        for bad in ({"write_transcript": 1}, {"shuffle": None}, {"alpha": None},
+                    {"out_dir": 3}, {"attack_keep_ratio": "half"}):
             with pytest.raises(ContractError, match=next(iter(bad))):
                 ExperimentConfig(**bad)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ContractError, match="mystery"):
             ExperimentConfig.from_dict({"mystery": 1})
+
+    def test_removed_key_and_flag_are_usage_errors(self, tmp_path, capsys):
+        # The method alone decides FedAvg, and cutout has one mask mode.
+        cfg_file = tmp_path / "config.json"
+        cfg_file.write_text(json.dumps({"fedavg": True}))
+        assert main(["train", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys") and "fedavg" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--mask-mode", "fixed"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "--mask-mode" in err
 
     def test_data_dir_env_fallback(self, monkeypatch):
         monkeypatch.setenv("SPLITMIX_DATA_DIR", "/data/somewhere")
@@ -167,10 +180,8 @@ FLAG_SURFACE = [
     (["--alpha"], "alpha", None, None, STORE),
     (["--shuffle", "--no-shuffle"], "shuffle", None, None, BOOL),
     (["--gradient-mode"], "gradient_mode", None, ("unicast", "broadcast"), STORE),
-    (["--fedavg", "--no-fedavg"], "fedavg", None, None, BOOL),
     (["--fedavg-cadence"], "fedavg_cadence", None, ("epoch", "round"), STORE),
     (["--keep-ratio"], "keep_ratio", "float", None, STORE),
-    (["--mask-mode"], "mask_mode", None, ("fixed", "per_iteration"), STORE),
     (["--noise-x"], "noise_x", "float", None, STORE),
     (["--noise-y"], "noise_y", "float", None, STORE),
     (["--dataset"], "dataset", None, ("synthetic", "cifar10"), STORE),
@@ -203,7 +214,6 @@ FLAG_SURFACE = [
     (["--attack-keep-ratio"], "attack_keep_ratio", "float", None, STORE),
     (["--attack-alpha"], "attack_alpha", "float", None, STORE),
     (["--attack-pretrain-epochs"], "attack_pretrain_epochs", "int", None, STORE),
-    (["--attack-seed"], "attack_seed", "int", None, STORE),
 ]
 
 

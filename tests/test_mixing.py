@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from splitmix import protocol
+from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, DimensionError, ProtocolError
-from splitmix.mixing import (CutoutMasker, add_gaussian_noise,
-                             add_label_noise, cut, cutmix_assemble,
-                             generate_mask_set, manifold_mixup,
+from splitmix.mixing import (add_gaussian_noise, add_label_noise, cut, cutmix_assemble,
+                             generate_mask_set, keep_count, manifold_mixup,
                              sample_mixing_counts, shuffle_tokens, unshuffle_grid)
-from splitmix.rng import (STREAM_ALLOC, STREAM_MASKS, STREAM_SHUFFLE,
+from splitmix.model import ModelConfig, fleet_of, init_parameters
+from splitmix.optim import AdamW
+from splitmix.protocol import (ClientFleet, RoundOptions, ServerState, form_groups,
+                               run_round, upload_bytes)
+from splitmix.rng import (STREAM_ALLOC, STREAM_MASKS, STREAM_SHUFFLE, RngHub,
                           stream_generator)
 
 
@@ -288,32 +293,74 @@ class TestManifoldMixup:
             manifold_mixup(a, a, 1.5)
 
 
+CUTOUT_CFG = ModelConfig(image_size=16, patch_size=4, channels=1, embed_dim=8,
+                         depth=1, heads=2, mlp_ratio=2.0, num_classes=4)
+
+
 class TestCutout:
-    def test_full_keep_is_identity(self):
-        grid = gen(0).normal(size=(16, 3)).astype(np.float32)
-        masker = CutoutMasker(1.0, "per_iteration", 16, gen(1))
-        assert np.array_equal(cut(grid, masker.next_mask()), grid)
+    """Token cutout, the k=1 baseline, over whole rounds: a singleton group
+    keeps the first block of a mask set drawn at (round, group), as a mixing
+    group draws its own."""
 
-    def test_half_keep_popcount(self):
-        masker = CutoutMasker(0.5, "per_iteration", 16, gen(2))
-        assert masker.next_mask().sum() == 8
+    N, BATCH, SEED = 4, 3, 5
 
-    def test_fixed_mode_reuses_mask(self):
-        a = CutoutMasker(0.5, "fixed", 16, stream_generator(3, STREAM_MASKS, 0))
-        b = CutoutMasker(0.5, "fixed", 16, stream_generator(3, STREAM_MASKS, 0))
-        assert np.array_equal(a.next_mask(), a.next_mask())
-        assert np.array_equal(a.next_mask(), b.next_mask())
+    def rounds(self, monkeypatch, keep_ratio, first, last):
+        """Each round's ``(n, M)`` masks and uplink bytes, for rounds
+        first..last of a fresh fleet."""
+        base_client, server_segment = init_parameters(CUTOUT_CFG, self.SEED)
+        segment = fleet_of(base_client, self.N)
+        fleet = ClientFleet(segment, AdamW(segment.parameters()))
+        server = ServerState(server_segment, AdamW(server_segment.parameters()))
+        data = make_synthetic(self.N * self.BATCH, CUTOUT_CFG.num_classes,
+                              CUTOUT_CFG.image_size, self.SEED, channels=1)
+        images = data.images.reshape((self.N, self.BATCH) + data.images.shape[1:])
+        labels = data.labels.reshape(self.N, self.BATCH)
+        masks = []
+        validate = protocol.validate_upload
 
-    def test_per_iteration_mode_redraws(self):
-        masker = CutoutMasker(0.5, "per_iteration", 16, gen(4))
-        # Collision chance for one redraw is 1/C(16,8); this seed avoids it.
-        assert not np.array_equal(masker.next_mask(), masker.next_mask())
+        def spy(uploads, round_masks):
+            masks.append(round_masks.copy())
+            validate(uploads, round_masks)
 
-    def test_invalid_ratio_and_mode(self):
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "validate_upload", spy)
+            uplink = [run_round(fleet, server, images, labels, CUTOUT_CFG,
+                                RoundOptions(k_way=1, keep_ratio=keep_ratio),
+                                RngHub(self.SEED), r).client_uplink_bytes
+                      for r in range(first, last + 1)]
+        return masks, uplink
+
+    def test_half_keep_popcount(self, monkeypatch):
+        tokens = CUTOUT_CFG.tokens
+        keep = keep_count(0.5, tokens)
+        masks, uplink = self.rounds(monkeypatch, 0.5, 0, 2)
+        hub = RngHub(self.SEED)
+        for r, (round_masks, round_uplink) in enumerate(zip(masks, uplink)):
+            kept = round_masks.sum(axis=1)
+            assert kept.tolist() == [keep] * self.N
+            assert round_uplink == upload_bytes(kept, self.BATCH, CUTOUT_CFG.embed_dim,
+                                                CUTOUT_CFG.num_classes).tolist()
+            for gid, [cid] in enumerate(form_groups(range(self.N), 1, hub.groups(r))):
+                drawn = generate_mask_set([keep, tokens - keep], tokens, hub.masks(r, gid))[0]
+                assert np.array_equal(round_masks[cid], drawn), (r, cid)
+
+    def test_masks_do_not_depend_on_history(self, monkeypatch):
+        # Redrawn every round, from the round's counter alone.
+        after, _ = self.rounds(monkeypatch, 0.5, 0, 3)
+        fresh, _ = self.rounds(monkeypatch, 0.5, 3, 3)
+        assert not np.array_equal(after[2], after[3])
+        assert np.array_equal(after[3], fresh[0])
+
+    def test_full_keep_is_identity(self, monkeypatch):
+        masks, uplink = self.rounds(monkeypatch, 1.0, 0, 1)
+        assert all((m == 1).all() for m in masks)
+        full = upload_bytes(CUTOUT_CFG.tokens, self.BATCH, CUTOUT_CFG.embed_dim,
+                            CUTOUT_CFG.num_classes)
+        assert uplink == [[int(full)] * self.N] * 2
+
+    def test_invalid_ratio(self):
         with pytest.raises(ContractError):
-            CutoutMasker(0.0, "fixed", 16, gen(0))
-        with pytest.raises(ContractError):
-            CutoutMasker(0.5, "sometimes", 16, gen(0))
+            keep_count(0.0, 16)
 
 
 class TestNoise:

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from splitmix import privacy
+from splitmix import privacy, runner
 from splitmix.config import ExperimentConfig
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError
@@ -109,9 +109,11 @@ def test_cutsmashed_rows_zeroed(snapshot):
     assert (zero_rows == MC.tokens // 2).all()
 
 
-def _suite_cfg(tmp_path):
-    return ExperimentConfig(attack_epochs=2, attack_decoder_width=32, seed=4,
-                            out_dir=str(tmp_path))
+def _run_suite(snapshot, tmp_path, monkeypatch):
+    """The suite on the module's snapshot rather than a trained one."""
+    monkeypatch.setattr(runner, "train_snapshot", lambda cfg: (snapshot, None))
+    return run_attack_suite(ExperimentConfig(attack_epochs=2, attack_decoder_width=32,
+                                             seed=4, out_dir=str(tmp_path)))
 
 
 def test_suite_builds_each_representation_once(snapshot, tmp_path, monkeypatch):
@@ -123,13 +125,13 @@ def test_suite_builds_each_representation_once(snapshot, tmp_path, monkeypatch):
         return original(name, *args)
 
     monkeypatch.setattr(privacy, "build_representation", counting)
-    result = run_attack_suite(_suite_cfg(tmp_path), snapshot)
+    result = _run_suite(snapshot, tmp_path, monkeypatch)
     assert built == list(REPRESENTATIONS)
     assert len(result["reports"]) == len(REPRESENTATIONS) * len(ATTACK_FRACTIONS)
 
 
-def test_suite_matches_cells_prepared_on_their_own(snapshot, tmp_path):
-    result = run_attack_suite(_suite_cfg(tmp_path), snapshot)
+def test_suite_matches_cells_prepared_on_their_own(snapshot, tmp_path, monkeypatch):
+    result = _run_suite(snapshot, tmp_path, monkeypatch)
     table = {rep: {} for rep in REPRESENTATIONS}
     for report in result["reports"]:
         config = AttackConfig(**report["config"])

@@ -9,7 +9,7 @@ import pytest
 
 from splitmix.data import make_synthetic
 from splitmix.errors import ContractError, IngestionError, ProtocolError
-from splitmix.mixing import CutoutMasker, generate_mask_set, sample_mixing_counts
+from splitmix.mixing import generate_mask_set, sample_mixing_counts
 from splitmix.model import (ClientSegment, ModelConfig, client_forward, fleet_of,
                             init_parameters, server_forward)
 from splitmix.optim import AdamW
@@ -447,7 +447,7 @@ class TestFleetMatchesPerClientReference:
         "broadcast": RoundOptions(k_way=3, alpha=6.0, gradient_mode="broadcast", shuffle=True),
         "ktimes": RoundOptions(k_way=2, alpha=6.0, gradient_mode="broadcast", ktimes=True),
         "ktimes_unicast": RoundOptions(k_way=3, alpha=6.0, ktimes=True, apply_fedavg=True),
-        "cutout": RoundOptions(k_way=1),
+        "cutout": RoundOptions(k_way=1, keep_ratio=0.5),
         "noise": RoundOptions(k_way=2, alpha=6.0, noise_x=0.1, noise_y=0.05, shuffle=True,
                               apply_fedavg=True),
     }
@@ -455,10 +455,6 @@ class TestFleetMatchesPerClientReference:
     def run(self, tmp_path, case, reference, monkeypatch):
         n, seed, rounds = 6, 11, 3
         fleet, server = build_system(n, seed)
-        if case == "cutout":
-            hub = RngHub(seed)
-            fleet.maskers = [CutoutMasker(0.5, "per_iteration", CFG.tokens, hub.masks(cid, 0, 1))
-                             for cid in range(n)]
         if reference:
             per_client = PerClientFleet(fleet)
             monkeypatch.setattr(protocol, "client_forward", per_client.forward)
