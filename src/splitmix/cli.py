@@ -57,7 +57,10 @@ def main(argv: list[str] | None = None) -> int:
                             ("attack", "run the reconstruction-attack suite")):
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or usage and an error: line
+        return exc.code
     try:
         cfg = build_config(args)
     except (SplitMixError, ValueError, OSError) as exc:

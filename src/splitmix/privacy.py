@@ -56,25 +56,41 @@ class AttackReport:
 
 @dataclass
 class Snapshot:
-    """Frozen trained client segment (a fleet of one) plus the data it embeds."""
+    """Frozen trained client segment (a fleet of one), the data it embeds,
+    and that data's ``(n, M, d)`` smashed tokens.
+
+    The smashed tokens are computed once, on construction, and are
+    read-only, so every representation built from them, on any thread,
+    shares one array.
+    """
 
     client_segment: ClientSegment
     dataset: "object"  # data.Dataset
     model_config: ModelConfig
+    smashed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        with no_grad():
+            smashed = client_forward(self.client_segment, self.dataset.images[None],
+                                     self.model_config).values[0]
+        smashed.flags.writeable = False
+        self.smashed = smashed
 
 
 def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Return (features, targets): one row per sample, targets are raw pixels."""
+    """Return (features, targets): one row per sample, targets are raw pixels.
+
+    Targets are a view of the dataset's images, and the ``smashed``
+    features a read-only view of ``snapshot.smashed``.
+    """
     dataset = snapshot.dataset
-    mc = snapshot.model_config
     n = len(dataset)
-    targets = dataset.images.reshape(n, -1).astype(np.float32)
+    targets = dataset.images.reshape(n, -1)
     if name == "raw":
         return targets.copy(), targets
-    with no_grad():
-        smashed = client_forward(snapshot.client_segment, dataset.images[None], mc).values[0]
-    tokens = mc.tokens
+    smashed = snapshot.smashed
+    tokens = snapshot.model_config.tokens
     if name == "smashed":
         feats = smashed
     elif name == "cutsmashed":
@@ -104,13 +120,13 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
                 masks[:, i] = generate_mask_set(counts, tokens, rng)
                 if name == "shuffled_cutmix":
                     perms.append(rng.permutation(tokens))
-            first, second = cut(np.stack([smashed, smashed[pair]]), masks)
-            feats = first + second
+            feats = cut(smashed, masks[0])
+            feats += cut(smashed[pair], masks[1])
             if perms:
                 feats = np.take_along_axis(feats, np.stack(perms)[..., None], axis=1)
     else:
         raise ContractError(f"unknown representation {name!r}")
-    return feats.reshape(n, -1).astype(np.float32), targets
+    return feats.reshape(n, -1), targets
 
 
 class _Decoder:
@@ -159,7 +175,10 @@ def prepare_representation(config: AttackConfig,
     if config.normalize_inputs:
         mu = features.mean(axis=1, keepdims=True)
         sd = features.std(axis=1, keepdims=True) + np.float32(1e-6)
-        features = (features - mu) / sd
+        # Centred in place, unless the features are the snapshot's read-only
+        # smashed tokens: only one of the raw and centred arrays is held.
+        features = np.subtract(features, mu, out=features if features.flags.writeable else None)
+        features /= sd
     return features, targets
 
 
@@ -183,13 +202,12 @@ def run_attack(config: AttackConfig,
     decoder = _Decoder(features.shape[1], targets.shape[1], config.decoder_width,
                        config.decoder_depth, gen)
     opt = AdamW(decoder.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    x_train, y_train = features[train_idx], targets[train_idx]
     for _ in range(config.epochs):
         order = gen.permutation(train_idx.size)
         for start in range(0, train_idx.size, config.batch_size):
-            take = order[start:start + config.batch_size]
-            pred = decoder.forward(Tensor(x_train[take]))
-            backward(mse(pred, y_train[take]))
+            take = train_idx[order[start:start + config.batch_size]]
+            pred = decoder.forward(Tensor(features[take]))
+            backward(mse(pred, targets[take]))
             opt.step()
             opt.zero_grads()
 

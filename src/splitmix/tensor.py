@@ -17,12 +17,16 @@ Contracts:
     optimizer's ``zero_grads`` clears them;
   * no broadcasting: ``add`` takes operands of equal shape, and a fused
     node states the shapes it takes;
-  * graphs are single-threaded; independent graphs share no state.
+  * graphs are single-threaded; independent graphs share no state, so
+    threads may each build and backpropagate their own.  Whether operations
+    record is a per-thread flag: ``no_grad`` on one thread leaves the others
+    recording.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,30 +65,34 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-_recording = True
+class _Recording(threading.local):
+    """Whether this thread's operations record a graph; every thread starts on."""
+
+    on = True
+
+
+_recording = _Recording()
 
 
 class no_grad:
-    """Context in which operations record no graph.
+    """Context in which the calling thread's operations record no graph.
 
     Outputs made inside have ``requires_grad`` false and keep neither
     parents nor a backward closure.  The previous state returns on exit,
-    also when the block raises.
+    also when the block raises.  Other threads keep recording.
     """
 
     def __enter__(self) -> None:
-        global _recording
-        self._previous, _recording = _recording, False
+        self._previous, _recording.on = _recording.on, False
 
     def __exit__(self, *exc) -> bool:
-        global _recording
-        _recording = self._previous
+        _recording.on = self._previous
         return False
 
 
 def _node(values: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(values)
-    if _recording and any(p.requires_grad for p in parents):
+    if _recording.on and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -270,17 +278,19 @@ def layer_norm(a, gain: Tensor, bias: Tensor) -> Tensor:
     for name, p in (("gain", gain), ("bias", bias)):
         if p.shape != (dim,):
             raise DimensionError(f"layer_norm {name} must have shape ({dim},), got {p.shape}")
+    # Row means are ``np.add.reduce(...) / dim``: what ``ndarray.mean`` computes,
+    # without its Python wrapper.
     x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / dim
     centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(var + np.float32(1e-5))
     normed = centered * inv
 
     def bwd(g):
         dh = g * gain.values
-        mean_dh = dh.mean(axis=-1, keepdims=True)
-        mean_dh_h = (dh * normed).mean(axis=-1, keepdims=True)
+        mean_dh = np.add.reduce(dh, axis=-1, keepdims=True) / dim
+        mean_dh_h = np.add.reduce(dh * normed, axis=-1, keepdims=True) / dim
         dx = (dh - mean_dh - normed * mean_dh_h) * inv
         return (dx, (g * normed).reshape(-1, dim).sum(axis=0),
                 g.reshape(-1, dim).sum(axis=0))

@@ -74,9 +74,7 @@ class TestConfig:
         assert main(["train", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config keys") and "fedavg" in err
-        with pytest.raises(SystemExit) as exit_info:
-            main(["train", "--mask-mode", "fixed"])
-        assert exit_info.value.code == 2
+        assert main(["train", "--mask-mode", "fixed"]) == 2
         err = capsys.readouterr().err
         assert "error: " in err and "--mask-mode" in err
 
@@ -168,6 +166,30 @@ class TestCliParsing:
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+
+    def test_parser_errors_return_2_and_help_returns_0(self, capsys):
+        for argv, needle in ((["train", "--method", "sgd"], "--method"),
+                             (["attack", "--epochs", "two"], "--epochs"),
+                             (["train", "--no-such-flag"], "--no-such-flag"),
+                             ([], "command")):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "error: " in err and needle in err, argv
+        assert main(["train", "--help"]) == 0
+        assert "--epochs" in capsys.readouterr().out
+
+    def test_iid_shards_below_a_batch_fail_before_any_data(self, capsys, monkeypatch):
+        small = {"synthetic_samples": 127, "n_clients": 4, "batch_size": 32}
+        with pytest.raises(ContractError, match="synthetic_samples.*n_clients.*batch_size"):
+            ExperimentConfig.from_dict(small)
+        ExperimentConfig.from_dict({**small, "synthetic_samples": 128})
+        # Dirichlet shard sizes are drawn with the data; TrainingSystem checks them.
+        ExperimentConfig.from_dict({**small, "partition_mode": "dirichlet"})
+        monkeypatch.setattr(runner, "load_experiment_data", lambda cfg: pytest.fail("data built"))
+        assert main(["train", "--synthetic-samples", "127", "--n-clients", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: synthetic_samples 127 over n_clients 4")
+        assert "batch_size 32" in err
 
 
 STORE, BOOL = "_StoreAction", "BooleanOptionalAction"

@@ -55,6 +55,34 @@ def test_fleet_step_equals_per_client_steps_bit_for_bit():
                 assert tensor.values[i].tobytes() == own[i][name].values.tobytes(), (step, i)
 
 
+def test_pieced_step_matches_per_array_reference():
+    # 2^15-float pieces: "big" spans two boundaries and "straddle", small,
+    # lies across the one at 65,536; the others fit inside one piece.
+    rng = np.random.default_rng(2)
+    shapes = {"head": (100,), "big": (200, 200), "fill": (25_400,), "straddle": (7, 11),
+              "tail": (5,)}
+    params = {k: Tensor(rng.normal(0, 0.1, size=s).astype(np.float32), requires_grad=True)
+              for k, s in shapes.items()}
+    opt = AdamW(params, lr=1e-3, weight_decay=0.05)
+    ref = RefAdamW({k: p.values for k, p in params.items()}, lr=1e-3, weight_decay=0.05)
+    for step in range(5):
+        for p in params.values():
+            p.grad = rng.normal(0, 10.0 ** -step, size=p.shape).astype(np.float32)
+        opt.lr = ref.lr = 1e-3 * (1.0 - 0.15 * step)
+        ref.step({k: p.grad for k, p in params.items()})
+        opt.step()
+        opt.zero_grads()
+        for name, p in params.items():
+            assert p.values.tobytes() == ref.values[name].tobytes(), (step, name)
+
+
+def test_non_contiguous_parameter_rejected_by_name():
+    ok = Tensor(np.ones(3, np.float32), requires_grad=True)
+    strided = Tensor(np.ones((4, 6), np.float32)[:, ::2], requires_grad=True)
+    with pytest.raises(ContractError, match="'strided'.*contiguous"):
+        AdamW({"ok": ok, "strided": strided})
+
+
 def test_step_without_gradient_names_the_parameter():
     a = Tensor(np.ones(3, np.float32), requires_grad=True)
     b = Tensor(np.ones(2, np.float32), requires_grad=True)

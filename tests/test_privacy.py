@@ -126,7 +126,8 @@ def test_suite_builds_each_representation_once(snapshot, tmp_path, monkeypatch):
 
     monkeypatch.setattr(privacy, "build_representation", counting)
     result = _run_suite(snapshot, tmp_path, monkeypatch)
-    assert built == list(REPRESENTATIONS)
+    # Two threads build, so only the multiset of builds is fixed.
+    assert sorted(built) == sorted(REPRESENTATIONS)
     assert len(result["reports"]) == len(REPRESENTATIONS) * len(ATTACK_FRACTIONS)
 
 

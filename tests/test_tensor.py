@@ -1,6 +1,8 @@
 """Engine contracts: forward values, backward gradients, graph semantics."""
 
 import math
+import sys
+import threading
 import zlib
 
 import numpy as np
@@ -428,6 +430,61 @@ class TestNoGrad:
             assert not scale(w, 2.0).requires_grad
         backward(mean(scale(w, 2.0)))
         assert np.allclose(w.grad, 2.0 / 3.0)
+
+    def test_a_block_on_one_thread_leaves_another_recording(self):
+        entered, leave = threading.Event(), threading.Event()
+
+        def hold_block_open():
+            with no_grad():
+                entered.set()
+                leave.wait(10)
+
+        holder = threading.Thread(target=hold_block_open)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            w = Tensor(rand((4, 3)), requires_grad=True)
+            b = Tensor(rand((4,), seed=1), requires_grad=True)
+            backward(mean(gelu(linear(Tensor(rand((2, 3), seed=2)), w, b))))
+        finally:
+            leave.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert w.grad is not None and b.grad is not None and np.any(w.grad != 0)
+
+    def test_threads_switching_often_keep_their_own_graphs(self):
+        # More threads than cores, each alternating no_grad forwards with
+        # recorded ones: a shared flag would drop some recorded graphs.
+        x = rand((2, 3), seed=2)
+
+        def train():
+            w = Tensor(rand((4, 3)), requires_grad=True)
+            b = Tensor(rand((4,), seed=1), requires_grad=True)
+            for _ in range(40):
+                with no_grad():
+                    linear(x, w, b)
+                backward(mean(gelu(linear(Tensor(x), w, b))))
+            return w.grad
+
+        expected = train()
+        results = [None] * 4
+
+        def run(i):
+            results[i] = train()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for grad in results:
+            assert np.array_equal(grad, expected)
 
 
 def test_embed_rejects_mismatched_shapes():
