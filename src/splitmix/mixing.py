@@ -12,19 +12,10 @@ All functions are pure: randomness comes in as an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, ProtocolError
-
-
-@dataclass
-class CutMixBatch:
-    """Mixed token grid and its proportionally mixed soft label."""
-
-    tokens: np.ndarray
-    soft_label: np.ndarray
 
 
 def _validate_mask(mask: np.ndarray) -> np.ndarray:
@@ -110,58 +101,71 @@ def cut(tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def cutmix_assemble(uploads: np.ndarray, masks: np.ndarray, labels: np.ndarray,
-                    ids: list[int]) -> CutMixBatch:
-    """Sum a group's uploads into one grid; the soft label is the a_i/M mix
-    of its label rows, where a_i is member i's mask count.
+                    groups: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum each group's uploads into one grid, in member order; its soft
+    label is the a_i/M mix of its members' label rows, a_i being member i's
+    mask count.  A singleton passes its rows through unchanged.
 
-    Row i of the ``(k, batch, M, d)`` uploads, ``(k, M)`` masks and
-    ``(k, batch, classes)`` labels is member i's, whose client id is
-    ``ids[i]``.  Raises a protocol error, naming the client, if a position
-    is claimed by two masks or by none.  The sum runs in member order.
-    """
+    Row i of the ``(n, batch, M, d)`` uploads, ``(n, M)`` masks and
+    ``(n, batch, classes)`` labels is client i's; ``groups`` lists each
+    group's ids.  Returns the ``(G, batch, M, d)`` grids and ``(G, batch,
+    classes)`` soft labels, summed one member position at a time across all
+    groups.  A position of a group claimed twice or never is a protocol
+    error naming the client."""
     uploads = np.asarray(uploads, dtype=np.float32)
     masks = _validate_mask(masks)
     labels = np.asarray(labels, dtype=np.float32)
-    if (uploads.ndim != 4 or masks.shape != (len(ids), uploads.shape[2])
-            or len(uploads) != len(ids) or labels.shape[:2] != uploads.shape[:2]):
-        raise DimensionError(f"{len(ids)} ids, masks {masks.shape} and labels {labels.shape} "
-                             f"do not fit uploads {uploads.shape}")
-    claimed = np.cumsum(masks, axis=0)
-    overlap = (claimed > 1) & (masks > 0)
-    if overlap.any():
-        who = int(np.argmax(overlap.any(axis=1)))
-        raise ProtocolError(f"mask overlap at position {int(np.argmax(overlap[who]))} "
-                            f"claimed by client {ids[who]}")
-    if not (claimed[-1] == 1).all():
-        raise ProtocolError(
-            f"mask set leaves position {int(np.argmin(claimed[-1]))} unclaimed")
-    mixed = uploads[0].copy()
-    for part in uploads[1:]:
-        mixed += part
-    soft = np.zeros(labels.shape[1:], dtype=np.float32)
-    for weight, label in zip((masks.sum(axis=1) / masks.shape[1]).astype(np.float32), labels):
-        soft += weight * label
-    return CutMixBatch(tokens=mixed, soft_label=soft)
+    n = len(uploads)
+    if (uploads.ndim != 4 or masks.shape != (n, uploads.shape[2]) or labels.ndim != 3
+            or labels.shape[:2] != uploads.shape[:2]
+            or not all(groups) or not all(0 <= cid < n for group in groups for cid in group)):
+        raise DimensionError(f"groups {groups}, masks {masks.shape} and labels "
+                             f"{labels.shape} do not fit uploads {uploads.shape}")
+    first = [group[0] for group in groups]
+    grids, soft = uploads[first], labels[first]
+    mixing = [g for g, group in enumerate(groups) if len(group) > 1]
+    soft[mixing] = 0.0
+    weights = (masks.sum(axis=1) / masks.shape[1]).astype(np.float32)  # a_i / M
+    claimed = np.zeros((len(groups), masks.shape[1]), dtype=np.int64)
+    for j in range(max((len(groups[g]) for g in mixing), default=0)):
+        rows = [g for g in mixing if len(groups[g]) > j]
+        ids = [groups[g][j] for g in rows]
+        if j:
+            grids[rows] += uploads[ids]
+        soft[rows] += weights[ids][:, None, None] * labels[ids]
+        claimed[rows] += masks[ids]
+    broken = (claimed[mixing] != 1).any(axis=1)
+    if broken.any():  # name the first broken group's first fault, in member order
+        ids = groups[mixing[int(np.argmax(broken))]]
+        claimed = np.cumsum(masks[ids], axis=0)
+        overlap = (claimed > 1) & (masks[ids] > 0)
+        if overlap.any():
+            who = int(np.argmax(overlap.any(axis=1)))
+            raise ProtocolError(f"mask overlap at position {int(np.argmax(overlap[who]))} "
+                                f"claimed by client {ids[who]}")
+        raise ProtocolError(f"mask set leaves position {int(np.argmin(claimed[-1]))} unclaimed")
+    return grids, soft
 
 
-def shuffle_tokens(tokens: np.ndarray,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Permute the token rows of a (batch, M, d) grid, a fresh uniform
-    permutation per sample.
-
-    Returns the shuffled grid and the (batch, M) permutation array so the
-    shuffle can be inverted (sample 0's permutation is drawn first).
-    """
-    tokens = np.asarray(tokens, dtype=np.float32)
-    perms = np.stack([rng.permutation(tokens.shape[1]) for _ in range(tokens.shape[0])])
-    return np.take_along_axis(tokens, perms[..., None], axis=1), perms
+def shuffle_tokens(grids: np.ndarray,
+                   rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """Permute the token rows of each grid of a (G, batch, M, d) stack, a
+    fresh uniform permutation per sample, drawn from ``rngs[g]`` for grid g
+    (sample 0's first).  Returns the shuffled grids and the (G, batch, M)
+    permutations, so each grid's shuffle can be inverted."""
+    grids = np.asarray(grids, dtype=np.float32)
+    if grids.ndim != 4 or len(rngs) != len(grids):
+        raise DimensionError(f"{len(rngs)} generators cannot shuffle grids {grids.shape}")
+    count, batch, tokens = grids.shape[:3]
+    perms = np.array([[rng.permutation(tokens) for _ in range(batch)] for rng in rngs],
+                     dtype=np.int64).reshape(grids.shape[:3])
+    return grids[np.arange(count)[:, None, None], np.arange(batch)[:, None], perms], perms
 
 
 def unshuffle_grid(grid: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Invert ``shuffle_tokens`` on a (batch, M, d) array."""
-    grid = np.asarray(grid)
+    """Invert one grid's ``shuffle_tokens`` on a (batch, M, d) array."""
     out = np.empty_like(grid)
-    np.put_along_axis(out, perms[..., None], grid, axis=1)
+    out[np.arange(len(perms))[:, None], perms] = grid
     return out
 
 

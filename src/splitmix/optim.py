@@ -10,27 +10,28 @@ from .errors import ContractError
 from .tensor import Tensor
 
 
-# Floats per update piece.  A piece's five float32 rows (m, v and three of
-# scratch) take 640 KiB, so one pass over them stays in cache.
-_PIECE = 1 << 15
+# Most floats per update piece.  Each numpy call of a step hands the GIL over
+# when another thread steps too (the attack suite runs two): at 2^17 a decoder
+# step is 3 pieces, not 11 at 2^15, and about a quarter of the calls.  The
+# pieces are evened out, so the scratch is no larger than that count needs.
+_PIECE = 1 << 17
 
 
 class AdamW:
     """Standard AdamW over a named parameter dict; float32 state.
 
     The moments ``m`` and ``v`` are one flat buffer each, laid out in the
-    parameter dict's order.  A step walks that layout in pieces of at most
-    ``_PIECE`` floats: it gathers a piece's gradients and values, updates it
-    with vectorized elementwise ops and subtracts the result from the
-    parameters in place.  A parameter inside one piece is gathered and
-    written back whole; a larger one, or one across a piece boundary, by
-    flat slices, which is why parameters must be C-contiguous.  The ops are
-    elementwise, so the pieces give the bits one pass over the layout gives.
-    Every intermediate lands in a preallocated ``(3, piece)`` scratch:
-    fresh arrays of the flat size would be mapped and unmapped by the
-    allocator on every step once they pass its mmap threshold (about
-    128 KiB).  The views into it are made once, on construction.
-    """
+    parameter dict's order.  A step walks that layout in the fewest equal
+    pieces of at most ``_PIECE`` floats: it gathers a piece's gradients and
+    values, updates it with vectorized elementwise ops and subtracts the
+    result from the parameters in place.  A parameter inside one piece is
+    gathered and written back whole; a larger one, or one across a piece
+    boundary, by flat slices, which is why parameters must be C-contiguous.
+    The ops are elementwise, so the pieces give the bits one pass over the
+    layout gives.  Every intermediate lands in a preallocated ``(3, piece)``
+    scratch: fresh arrays of the flat size would be mapped and unmapped by
+    the allocator on every step once they pass its mmap threshold (about
+    128 KiB).  The views into it are made once, on construction."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  weight_decay: float = 0.05):
@@ -46,15 +47,16 @@ class AdamW:
         self.step_count = 0
         size = sum(p.values.size for p in params.values())
         m, v = np.zeros(size, dtype=np.float32), np.zeros(size, dtype=np.float32)
-        scratch = np.empty((3, min(size, _PIECE)), dtype=np.float32)
+        piece = -(-size // -(-size // _PIECE)) if size else 1
+        scratch = np.empty((3, piece), dtype=np.float32)
         # Per piece: its m and v, its three scratch rows (gradients, values,
         # update) and, per parameter in it, (tensor, lo, hi, part): the
         # parameter's flat [lo, hi) and its part of the update row.  lo is
         # None, and part has the parameter's shape, when the parameter lies
         # whole in the piece.
         self._pieces = []
-        for piece_start in range(0, size, _PIECE):
-            piece_stop = min(piece_start + _PIECE, size)
+        for piece_start in range(0, size, piece):
+            piece_stop = min(piece_start + piece, size)
             rows = tuple(scratch[:, :piece_stop - piece_start])
             members, begin, offset = [], 0, 0
             for p in params.values():

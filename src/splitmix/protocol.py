@@ -8,19 +8,19 @@ broadcast) with one message per client, client backward + step, optional
 federated averaging of the client segments.
 
 The n clients are one stacked fleet, and the round works on fleet arrays:
-one client forward over all of them, one ``(n, M)`` mask array, one cut,
-one backward, one optimizer step and, when averaging is on, one FedAvg
-over the fleet axis.  Each client's rows compute exactly what its own
-forward, cut, backward and step would.  Only mixing and the server passes
-go group by group.
+one client forward, one ``(n, M)`` mask array, one cut, one mix into all
+groups' grids, one shuffle, one ``(n, B, M, d)`` seed array for routing,
+one backward, one optimizer step and, with averaging, one FedAvg.  Each
+row computes exactly what its own client or group would.  Only the server
+passes go group by group.
 
 The client and server computation graphs are deliberately severed at the
 upload boundary: the server consumes plain arrays and returns the gradient
 of its loss with respect to the mixed activations.  A client's graph ends
 at its smashed data, before activation noise and the cut, and the fleet's
-step is ``backward(smashed, received_gradients)``: each client's received
-gradient seeds its row as is, its own rows under unicast, the whole
-mixed-grid gradient under broadcast.
+step is ``backward(smashed, seeds)``: each client's received gradient
+seeds its row as is, its own rows under unicast, the whole mixed-grid
+gradient under broadcast.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ProtocolError
-from .mixing import (CutMixBatch, add_gaussian_noise, add_label_noise, cut,
+from .mixing import (add_gaussian_noise, add_label_noise, cut,
                      cutmix_assemble, generate_mask_set, keep_count,
                      sample_mixing_counts, shuffle_tokens, unshuffle_grid)
 from .model import ClientSegment, ModelConfig, ServerSegment, client_forward, server_forward
@@ -49,8 +49,8 @@ FLOAT_BYTES = 4
 
 @dataclass
 class GradientDown:
-    target: int  # client id (unicast / per-member broadcast copy)
-    grad: np.ndarray  # (batch, M, d)
+    target: int  # client id
+    grad: np.ndarray  # (batch, M, d): the target's row of the round's seeds
     rows: int  # token rows actually transmitted
     broadcast: bool = False
 
@@ -107,17 +107,19 @@ def form_groups(clients, k: int, rng: np.random.Generator) -> list[list[int]]:
 
 
 def route_gradients(members: list[int], masks: np.ndarray, grad_wrt_cutmix: np.ndarray,
-                    mode: str) -> list[GradientDown]:
-    """One message per member.  Unicast sends each member only the rows of
-    its own mask (``masks`` holds the members' masks in order); broadcast
-    sends all rows."""
+                    mode: str, seeds: np.ndarray) -> list[GradientDown]:
+    """One message per member, its ``grad`` a view of the member's row of
+    the fleet's ``(n, batch, M, d)`` ``seeds``: under unicast only the rows
+    of its own mask (``masks`` holds the members' in order), else all rows."""
     if mode == "unicast":
-        return [GradientDown(target=member, rows=int(mask.sum()),
-                             grad=grad_wrt_cutmix * mask[:, None].astype(np.float32))
-                for member, mask in zip(members, masks)]
+        for member, mask in zip(members, masks):
+            np.multiply(grad_wrt_cutmix, mask[:, None].astype(np.float32), out=seeds[member])
+        return [GradientDown(target=member, grad=seeds[member], rows=rows)
+                for member, rows in zip(members, masks.sum(axis=1).tolist())]
     if mode == "broadcast":
+        seeds[members] = grad_wrt_cutmix
         rows = grad_wrt_cutmix.shape[-2]
-        return [GradientDown(target=member, grad=grad_wrt_cutmix, rows=rows, broadcast=True)
+        return [GradientDown(target=member, grad=seeds[member], rows=rows, broadcast=True)
                 for member in members]
     raise ContractError(f"unknown gradient mode {mode!r}")
 
@@ -230,44 +232,38 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
     batch, dim = uploads.shape[1], uploads.shape[-1]
     uplink = upload_bytes(kept, batch, dim, model_config.num_classes).tolist()
 
-    def server_pass(mixed: CutMixBatch) -> tuple[float, np.ndarray]:
-        inputs = Tensor(mixed.tokens, requires_grad=True)
+    def server_pass(grid: np.ndarray, soft_label: np.ndarray) -> tuple[float, np.ndarray]:
+        inputs = Tensor(grid, requires_grad=True)
         logits = server_forward(server.segment, inputs, model_config)
-        loss = cross_entropy(logits, Tensor(mixed.soft_label))
+        loss = cross_entropy(logits, Tensor(soft_label))
         backward(loss)
         return float(loss.values), inputs.grad
 
-    # --- per group: the mixer assembles (and optionally shuffles) its batch;
-    # the server runs forward, loss, backward and step, and routes gradients
+    # --- mixer: every group's grid and soft label at once, then shuffled
+    grids, soft_labels = cutmix_assemble(uploads, masks, label_rows, groups)
+    if options.shuffle:
+        grids, perms = shuffle_tokens(
+            grids, [hub.shuffles(round_index, gid) for gid in range(len(groups))])
+
+    # --- per group: server forward, loss, backward, step and routing
+    seeds = np.empty_like(uploads)
     losses: list[float] = []
-    mixed_batches: list[CutMixBatch] = []
     passes: list[tuple[int, list[GradientDown]]] = []  # (group id, messages) per pass
     for gid, members in enumerate(groups):
-        if len(members) == 1:
-            mixed = CutMixBatch(tokens=uploads[members[0]], soft_label=label_rows[members[0]])
-        else:
-            mixed = cutmix_assemble(uploads[members], masks[members], label_rows[members], members)
-        perms = None
-        if options.shuffle:
-            mixed.tokens, perms = shuffle_tokens(mixed.tokens, hub.shuffles(round_index, gid))
-        mixed_batches.append(mixed)
-        # Each pass runs the server once, steps it once, and routes its
-        # gradient to the pass's members.  ktimes makes one pass per member,
-        # routed under that member's mask, so the server updates n times
-        # per round and each member receives one gradient.
+        # One server step per pass.  ktimes makes one pass per member, routed
+        # under its mask: n server steps a round, one gradient per member.
         for pass_members in ([[m] for m in members] if options.ktimes else [members]):
-            loss_value, grad_in = server_pass(mixed)
+            loss_value, grad_in = server_pass(grids[gid], soft_labels[gid])
             server.optimizer.step()
             server.optimizer.zero_grads()
-            if perms is not None:
-                grad_in = unshuffle_grid(grad_in, perms)
+            if options.shuffle:
+                grad_in = unshuffle_grid(grad_in, perms[gid])
             passes.append((gid, route_gradients(pass_members, masks[pass_members], grad_in,
-                                                options.gradient_mode)))
+                                                options.gradient_mode, seeds)))
             losses.append(loss_value)
 
-    # --- clients: seed each row of the smashed data with its gradient ----
-    received = {down.target: down.grad for _, downs in passes for down in downs}
-    backward(smashed, np.stack([received[cid] for cid in range(n)]))
+    # --- clients: each row of the smashed data is seeded with its gradient
+    backward(smashed, seeds)
     fleet.optimizer.step()
     fleet.optimizer.zero_grads()
 
@@ -275,13 +271,10 @@ def run_round(fleet: ClientFleet, server: ServerState, images: np.ndarray,
         fedavg_client_segments(fleet.segment)
 
     metrics = RoundMetrics(
-        round_index=round_index,
-        client_uplink_bytes=uplink,
-        total_uplink_bytes=sum(uplink),
+        round_index=round_index, client_uplink_bytes=uplink, total_uplink_bytes=sum(uplink),
         total_activation_bytes=int(kept.sum()) * dim * FLOAT_BYTES * batch,
-        server_updates=len(losses),  # one step per server pass
-        train_loss=float(np.mean(losses)))
+        server_updates=len(losses), train_loss=float(np.mean(losses)))  # a step per pass
     if transcript is not None:
-        transcript.write_round(round_index, groups, masks, uploads, label_rows,
-                               mixed_batches, passes, metrics.total_uplink_bytes)
+        transcript.write_round(round_index, groups, masks, uploads, label_rows, grids,
+                               soft_labels, passes, metrics.total_uplink_bytes)
     return metrics

@@ -2,7 +2,8 @@
 
 A transcript is a sequence of tagged little-endian records mirroring the
 wire messages plus the optimizer-step events, enough to replay a round's
-message flow offline or audit server update counts.
+message flow offline or audit server update counts.  Each round reaches
+the file in one write.
 
 File layout:
   magic b"SMXT" | u32 version (=1) | records...
@@ -50,42 +51,41 @@ def encode_mask(mask: np.ndarray) -> bytes:
     return packed.ljust(mask_nbytes(mask.shape[0]), b"\0")
 
 
-def _f32(array: np.ndarray) -> bytes:
-    return np.ascontiguousarray(array, dtype="<f4").tobytes()
+def _f32(array: np.ndarray) -> memoryview:
+    return memoryview(np.ascontiguousarray(array, dtype="<f4")).cast("B")
 
 
 class TranscriptWriter:
-    """Streams protocol records to an open binary file."""
+    """Writes protocol records to an open binary file.  Each record method
+    appends its pieces, float arrays as views, to a list that
+    ``write_round`` joins and writes in one call."""
 
     def __init__(self, fh: BinaryIO):
         self._fh = fh
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
+        self._parts: list[bytes | memoryview] = []
+        fh.write(_MAGIC + struct.pack("<I", _VERSION))
 
-    def _record(self, tag: int, payload: bytes) -> None:
-        self._fh.write(struct.pack("<BI", tag, len(payload)))
-        self._fh.write(payload)
+    def _record(self, tag: int, *payload) -> None:
+        self._parts.append(struct.pack("<BI", tag, sum(map(len, payload))))
+        self._parts += payload
 
     def write_round(self, round_index: int, groups: list[list[int]], masks: np.ndarray,
-                    uploads: np.ndarray, labels: np.ndarray, batches: list,
-                    passes: list, total_uplink: int) -> None:
-        """Write one round's records in protocol order.
-
-        ``groups`` lists each group's members.  ``masks``, ``uploads`` and
-        ``labels`` are the fleet's ``(n, M)``, ``(n, batch, M, d)`` and
-        ``(n, batch, classes)`` arrays, row i for client i, the uploads as
-        ``mixing.cut`` left them.  ``batches`` holds each group's
-        ``CutMixBatch`` as the server received it, and ``passes``
-        each server pass's group id and the gradient messages it sent
-        (``target``, ``broadcast``, ``grad``), in the order they ran.
-        """
+                    uploads: np.ndarray, labels: np.ndarray, grids: np.ndarray,
+                    soft_labels: np.ndarray, passes: list, total_uplink: int) -> None:
+        """Write one round's records in protocol order.  ``groups`` lists each
+        group's members; ``masks``, ``uploads`` and ``labels`` are the fleet's
+        ``(n, M)``, ``(n, batch, M, d)`` and ``(n, batch, classes)`` arrays,
+        the uploads as ``mixing.cut`` left them; ``grids`` and ``soft_labels``
+        each group's batch as the server received it.  ``passes`` holds each
+        server pass's group id and messages (``target``, ``broadcast``,
+        ``grad``), in order."""
         members = [cid for group in groups for cid in group]
         self.round_start(round_index)
         for cid in members:
             self.sequence(cid, masks[cid])
             self.upload(cid, masks[cid], uploads[cid], labels[cid])
-        for group_id, batch in enumerate(batches):
-            self.server_batch(group_id, batch.tokens, batch.soft_label)
+        for group_id, (tokens, soft_label) in enumerate(zip(grids, soft_labels)):
+            self.server_batch(group_id, tokens, soft_label)
         for group_id, downs in passes:
             self.server_step(group_id)
             for down in downs:
@@ -93,32 +93,33 @@ class TranscriptWriter:
         for cid in members:
             self.client_step(cid)
         self.round_end(round_index, total_uplink)
+        self._fh.write(b"".join(self._parts))
+        self._parts.clear()
 
     def round_start(self, round_index: int) -> None:
         self._record(TAG_ROUND_START, struct.pack("<I", round_index))
 
     def sequence(self, client_id: int, mask: np.ndarray) -> None:
-        payload = struct.pack("<II", client_id, mask.shape[0]) + encode_mask(mask)
-        self._record(TAG_SEQUENCE, payload)
+        self._record(TAG_SEQUENCE, struct.pack("<II", client_id, mask.shape[0]),
+                     encode_mask(mask))
 
     def upload(self, client_id: int, mask: np.ndarray, tokens: np.ndarray,
                label: np.ndarray) -> None:
         batch, rows, dim = tokens.shape
-        payload = (struct.pack("<IIIII", client_id, batch, rows, dim, label.shape[-1])
-                   + encode_mask(mask) + _f32(tokens) + _f32(label))
-        self._record(TAG_UPLOAD, payload)
+        self._record(TAG_UPLOAD,
+                     struct.pack("<IIIII", client_id, batch, rows, dim, label.shape[-1]),
+                     encode_mask(mask), _f32(tokens), _f32(label))
 
     def server_batch(self, group_id: int, tokens: np.ndarray, soft_label: np.ndarray) -> None:
         batch, rows, dim = tokens.shape
-        payload = (struct.pack("<IIIII", group_id, batch, rows, dim, soft_label.shape[-1])
-                   + _f32(tokens) + _f32(soft_label))
-        self._record(TAG_SERVER_BATCH, payload)
+        self._record(TAG_SERVER_BATCH,
+                     struct.pack("<IIIII", group_id, batch, rows, dim, soft_label.shape[-1]),
+                     _f32(tokens), _f32(soft_label))
 
     def gradient_down(self, target: int, broadcast: bool, grad: np.ndarray) -> None:
         batch, rows, dim = grad.shape
-        payload = (struct.pack("<IBIII", target, int(broadcast), batch, rows, dim)
-                   + _f32(grad))
-        self._record(TAG_GRAD_DOWN, payload)
+        self._record(TAG_GRAD_DOWN,
+                     struct.pack("<IBIII", target, int(broadcast), batch, rows, dim), _f32(grad))
 
     def server_step(self, group_id: int) -> None:
         self._record(TAG_SERVER_STEP, struct.pack("<i", group_id))

@@ -4,17 +4,23 @@ Everything here is deliberately separate from the package's engine: plain
 numpy in double precision, loop-based where that makes independence
 clearer.  Finite differences of these references give clean gradients to
 hold the float32 autodiff to.  ``encode_records`` writes datasets in the
-CIFAR-10 record format the loader reads.
+CIFAR-10 record format the loader reads.  The per-group mixer and router
+(``ref_cutmix_assemble`` ... ``ref_route_gradients``) and the per-record
+transcript writer are the loops the fleet-array round is held to bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
 from splitmix.data import CIFAR_RECORD
-from splitmix.errors import ContractError
+from splitmix.errors import ContractError, ProtocolError
+from splitmix.protocol import GradientDown
+from splitmix.transcript import TranscriptWriter
 
 
 def central_difference(f, arrays: dict[str, np.ndarray], h: float = 1e-3) -> dict[str, np.ndarray]:
@@ -201,3 +207,70 @@ def encode_records(dataset) -> bytes:
     pixels = np.clip(np.rint(dataset.images * 255.0), 0, 255).astype(np.uint8)
     out[:, 1:] = pixels.reshape(n, -1)
     return out.tobytes()
+
+
+def ref_cutmix_assemble(uploads, masks, labels, groups):
+    """``mixing.cutmix_assemble`` one group at a time: a copy of the first
+    member's upload plus each other member's in turn, and a soft label summed
+    from zeros; a singleton's rows pass through."""
+    grids, soft_labels = [], []
+    for ids in groups:
+        if len(ids) == 1:
+            grids.append(uploads[ids[0]])
+            soft_labels.append(labels[ids[0]])
+            continue
+        claimed = np.cumsum(masks[ids], axis=0)
+        overlap = (claimed > 1) & (masks[ids] > 0)
+        if overlap.any():
+            who = int(np.argmax(overlap.any(axis=1)))
+            raise ProtocolError(f"mask overlap at position {int(np.argmax(overlap[who]))} "
+                                f"claimed by client {ids[who]}")
+        if not (claimed[-1] == 1).all():
+            raise ProtocolError(
+                f"mask set leaves position {int(np.argmin(claimed[-1]))} unclaimed")
+        mixed = uploads[ids[0]].copy()
+        for cid in ids[1:]:
+            mixed += uploads[cid]
+        soft = np.zeros(labels.shape[1:], dtype=np.float32)
+        for cid in ids:
+            soft += np.float32(masks[cid].sum() / masks.shape[1]) * labels[cid]
+        grids.append(mixed)
+        soft_labels.append(soft)
+    return np.stack(grids), np.stack(soft_labels)
+
+
+def ref_shuffle_tokens(grids, rngs):
+    """``mixing.shuffle_tokens`` one grid at a time, gathered along the token axis."""
+    perms = [np.stack([rng.permutation(grid.shape[1]) for _ in range(len(grid))])
+             for grid, rng in zip(grids, rngs)]
+    return (np.stack([np.take_along_axis(grid, p[..., None], axis=1)
+                      for grid, p in zip(grids, perms)]), np.stack(perms))
+
+
+def ref_unshuffle_grid(grid, perms):
+    out = np.empty_like(grid)
+    np.put_along_axis(out, perms[..., None], grid, axis=1)
+    return out
+
+
+def ref_route_gradients(members, masks, grad, mode, seeds):
+    """One freshly made gradient per member (one shared array under
+    broadcast), each also copied into the member's row of ``seeds``."""
+    if mode == "unicast":
+        downs = [GradientDown(target=m, rows=int(mask.sum()),
+                              grad=grad * mask[:, None].astype(np.float32))
+                 for m, mask in zip(members, masks)]
+    else:
+        downs = [GradientDown(target=m, grad=grad, rows=grad.shape[-2], broadcast=True)
+                 for m in members]
+    for down in downs:
+        seeds[down.target] = down.grad
+    return downs
+
+
+class PerRecordTranscriptWriter(TranscriptWriter):
+    """Writes each record as it is made, header and payload, two writes a record."""
+
+    def _record(self, tag, *payload):
+        self._fh.write(struct.pack("<BI", tag, sum(map(len, payload))))
+        self._fh.write(b"".join(payload))

@@ -128,10 +128,11 @@ def test_criterion_3_mixing_algebra_oracle():
         labels = [rng.dirichlet(np.ones(5)).astype(np.float32)[None].repeat(2, 0)
                   for _ in range(k)]
         parts = [cut(g, m) for g, m in zip(grids, masks)]
-        out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(k))
+        mixed, mixed_soft = cutmix_assemble(np.stack(parts), masks, np.stack(labels),
+                                            [list(range(k))])
         for pos in range(tokens):
             owner = int(np.argmax(masks[:, pos]))
-            if not np.array_equal(out.tokens[:, pos, :], grids[owner][:, pos, :]):
+            if not np.array_equal(mixed[0][:, pos, :], grids[owner][:, pos, :]):
                 failures += 1
                 break
         soft = np.zeros((2, 5), dtype=np.float64)
@@ -139,7 +140,7 @@ def test_criterion_3_mixing_algebra_oracle():
             for b in range(2):
                 for c in range(5):
                     soft[b, c] += counts[i] / tokens * float(labels[i][b, c])
-        if np.abs(out.soft_label.astype(np.float64) - soft).max() > 1e-7:
+        if np.abs(mixed_soft[0].astype(np.float64) - soft).max() > 1e-7:
             failures += 1
     report("3 mixing-algebra", failures == 0, f"{failures} failures in 1000 instances")
 
@@ -207,8 +208,9 @@ def test_criterion_4_gradient_correctness():
             worst = max(worst, float(np.abs(tensor.grad - expected_server[key]).max()))
             assert ok, f"server {key} ({mode})"
 
-        downs = route_gradients([0, 1], masks, inputs.grad, mode)
-        backward(smashed, np.stack([down.grad for down in downs]))
+        seeds = np.empty_like(smashed.values)
+        route_gradients([0, 1], masks, inputs.grad, mode, seeds)
+        backward(smashed, seeds)
         for cid in range(2):
             if mode == "unicast":
                 expected = central_difference(ref_true_loss, params64[f"client{cid}"],

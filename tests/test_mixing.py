@@ -150,19 +150,19 @@ class TestCutmixAssemble:
         labels = np.zeros((2, 2, 10), dtype=np.float32)
         labels[0][:, 3] = 1.0
         labels[1][:, 7] = 1.0
-        out = cutmix_assemble(np.stack(parts), masks, labels, [0, 1])
+        _, soft = cutmix_assemble(np.stack(parts), masks, labels, [[0, 1]])
         expected = np.zeros((2, 10), dtype=np.float32)
         expected[:, 3] = 0.625
         expected[:, 7] = 0.375
-        assert np.allclose(out.soft_label, expected, atol=1e-7)
+        assert np.allclose(soft[0], expected, atol=1e-7)
 
     def test_single_member_is_plain_upload(self):
         grid = gen(5).normal(size=(2, 8, 3)).astype(np.float32)
         label = np.eye(4, dtype=np.float32)[:2]
         mask = np.ones(8, dtype=np.uint8)
-        out = cutmix_assemble(cut(grid, mask)[None], mask[None], label[None], [0])
-        assert np.array_equal(out.tokens, grid)
-        assert np.array_equal(out.soft_label, label)
+        grids, soft = cutmix_assemble(cut(grid, mask)[None], mask[None], label[None], [[0]])
+        assert np.array_equal(grids[0], grid)
+        assert np.array_equal(soft[0], label)
 
     def test_three_way_matches_per_position_oracle(self):
         rng = gen(11)
@@ -174,31 +174,32 @@ class TestCutmixAssemble:
             labels = [rng.dirichlet(np.ones(5)).astype(np.float32)[None, :].repeat(2, 0)
                       for _ in range(3)]
             parts = [cut(g, m) for g, m in zip(grids, masks)]
-            out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(3))
+            mixed, _ = cutmix_assemble(np.stack(parts), masks, np.stack(labels), [[0, 1, 2]])
             for pos in range(tokens):
                 owner = int(np.argmax(masks[:, pos]))
-                assert np.array_equal(out.tokens[:, pos, :], grids[owner][:, pos, :])
+                assert np.array_equal(mixed[0][:, pos, :], grids[owner][:, pos, :])
 
     def test_overlap_is_protocol_error(self):
-        grids = np.ones((3, 1, 4, 2), dtype=np.float32)
-        masks = np.array([[0, 0, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
-        labels = np.ones((3, 1, 2), dtype=np.float32) / 2
+        grids = np.ones((10, 1, 4, 2), dtype=np.float32)
+        masks = np.ones((10, 4), dtype=np.uint8)
+        masks[[4, 7, 9]] = [[0, 0, 0, 1], [1, 1, 0, 1], [0, 0, 1, 1]]
+        labels = np.ones((10, 1, 2), dtype=np.float32) / 2
         with pytest.raises(ProtocolError, match="position 3 claimed by client 7"):
-            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [4, 7, 9])
-        masks[1:] = [[1, 1, 0, 0], [0, 0, 0, 0]]
+            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [[4, 7, 9]])
+        masks[[7, 9]] = [[1, 1, 0, 0], [0, 0, 0, 0]]
         with pytest.raises(ProtocolError, match="position 2 unclaimed"):
-            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [4, 7, 9])
+            cutmix_assemble(cut(grids, masks[:, None]), masks, labels, [[4, 7, 9]])
 
     def test_label_shape_mismatch(self):
         grids = np.ones((2, 1, 2, 2), dtype=np.float32)
         masks = np.eye(2, dtype=np.uint8)
         uploads = cut(grids, masks[:, None])
         with pytest.raises(DimensionError):
-            cutmix_assemble(uploads, masks, np.ones((2, 2, 3), np.float32), [0, 1])
+            cutmix_assemble(uploads, masks, np.ones((2, 2, 3), np.float32), [[0, 1]])
         with pytest.raises(DimensionError):
-            cutmix_assemble(uploads, np.eye(3, dtype=np.uint8)[:2], np.ones((2, 1, 3)), [0, 1])
+            cutmix_assemble(uploads, np.eye(3, dtype=np.uint8)[:2], np.ones((2, 1, 3)), [[0, 1]])
         with pytest.raises(DimensionError):
-            cutmix_assemble(uploads, masks, np.ones((2, 1, 3), np.float32), [0])
+            cutmix_assemble(uploads, masks, np.ones((2, 1, 3), np.float32), [[0, 2]])
 
     def test_literal_two_way_form(self):
         # k=2 assemble equals cut(s_i, B1) + cut(s_j, B2) bitwise.
@@ -207,10 +208,10 @@ class TestCutmixAssemble:
         s_i = rng.normal(size=(3, 16, 5)).astype(np.float32)
         s_j = rng.normal(size=(3, 16, 5)).astype(np.float32)
         label = np.full((3, 4), 0.25, dtype=np.float32)
-        out = cutmix_assemble(np.stack([cut(s_i, masks[0]), cut(s_j, masks[1])]),
-                              masks, np.stack([label, label]), [0, 1])
+        mixed, _ = cutmix_assemble(np.stack([cut(s_i, masks[0]), cut(s_j, masks[1])]),
+                                   masks, np.stack([label, label]), [[0, 1]])
         direct = cut(s_i, masks[0]) + cut(s_j, masks[1])
-        assert np.array_equal(out.tokens, direct)
+        assert np.array_equal(mixed[0], direct)
 
     def test_unmix_by_mask_recovers_transmitted_rows(self):
         rng = gen(31)
@@ -219,9 +220,9 @@ class TestCutmixAssemble:
         grids = [rng.normal(size=(2, 16, 3)).astype(np.float32) for _ in range(4)]
         labels = np.full((4, 2, 5), 0.2, dtype=np.float32)
         parts = [cut(g, m) for g, m in zip(grids, masks)]
-        out = cutmix_assemble(np.stack(parts), masks, labels, range(4))
+        mixed, _ = cutmix_assemble(np.stack(parts), masks, labels, [[0, 1, 2, 3]])
         for g, m in zip(grids, masks):
-            recovered = out.tokens * m[:, None]
+            recovered = mixed[0] * m[:, None]
             assert np.array_equal(recovered, g * m[:, None])
 
     def test_soft_labels_on_simplex(self):
@@ -233,37 +234,37 @@ class TestCutmixAssemble:
                       for _ in range(k)]
             masks = generate_mask_set(counts, 16, rng)
             parts = [cut(np.zeros((1, 16, 2), np.float32), m) for m in masks]
-            out = cutmix_assemble(np.stack(parts), masks, np.stack(labels), range(k))
-            assert (out.soft_label >= -1e-7).all()
-            assert abs(out.soft_label.sum() - 1.0) < 1e-6
+            _, soft = cutmix_assemble(np.stack(parts), masks, np.stack(labels), [list(range(k))])
+            assert (soft[0] >= -1e-7).all()
+            assert abs(soft[0].sum() - 1.0) < 1e-6
 
 
 class TestShuffle:
     def test_single_row_is_identity(self):
         grid = np.ones((2, 1, 3), np.float32)
-        out, _ = shuffle_tokens(grid, gen(0))
-        assert np.array_equal(out, grid)
+        out, _ = shuffle_tokens(grid[None], [gen(0)])
+        assert np.array_equal(out[0], grid)
 
     def test_rows_preserved_as_multiset(self):
         grid = gen(1).normal(size=(3, 8, 4)).astype(np.float32)
-        out, _ = shuffle_tokens(grid, gen(2))
+        out, _ = shuffle_tokens(grid[None], [gen(2)])
         for b in range(3):
             original = {tuple(row) for row in grid[b]}
-            shuffled = {tuple(row) for row in out[b]}
+            shuffled = {tuple(row) for row in out[0][b]}
             assert original == shuffled
 
     def test_inverse_permutation_restores(self):
         grid = gen(3).normal(size=(4, 8, 4)).astype(np.float32)
-        out, perms = shuffle_tokens(grid, gen(4))
-        assert np.array_equal(unshuffle_grid(out, perms), grid)
+        out, perms = shuffle_tokens(grid[None], [gen(4)])
+        assert np.array_equal(unshuffle_grid(out[0], perms[0]), grid)
 
     def test_one_permutation_per_sample_in_order(self):
         grid = gen(5).normal(size=(3, 6, 2)).astype(np.float32)
-        out, perms = shuffle_tokens(grid, gen(6))
+        out, perms = shuffle_tokens(grid[None], [gen(6)])
         draws = gen(6)
         for b in range(3):
-            assert np.array_equal(perms[b], draws.permutation(6))
-            assert out[b].tobytes() == grid[b][perms[b]].tobytes()
+            assert np.array_equal(perms[0][b], draws.permutation(6))
+            assert out[0][b].tobytes() == grid[b][perms[0][b]].tobytes()
 
 
 class TestManifoldMixup:

@@ -5,7 +5,7 @@ import pytest
 
 from splitmix.errors import ContractError
 from splitmix.model import PROFILES, init_parameters, server_forward
-from splitmix.optim import AdamW
+from splitmix.optim import _PIECE, AdamW
 from splitmix.tensor import Tensor, backward, cross_entropy
 
 from oracles import RefAdamW
@@ -56,11 +56,14 @@ def test_fleet_step_equals_per_client_steps_bit_for_bit():
 
 
 def test_pieced_step_matches_per_array_reference():
-    # 2^15-float pieces: "big" spans two boundaries and "straddle", small,
-    # lies across the one at 65,536; the others fit inside one piece.
+    # 4 * _PIECE floats, so four pieces of _PIECE: "big" spans two
+    # boundaries and "straddle", small, lies across the third; the others
+    # fit inside one piece.
     rng = np.random.default_rng(2)
-    shapes = {"head": (100,), "big": (200, 200), "fill": (25_400,), "straddle": (7, 11),
-              "tail": (5,)}
+    big = (2 * _PIECE // 256 + 8, 256)
+    shapes = {"head": (100,), "big": big, "fill": (_PIECE - 2188,), "straddle": (7, 11),
+              "tail": (_PIECE - 37,)}
+    assert sum(np.prod(s) for s in shapes.values()) == 4 * _PIECE
     params = {k: Tensor(rng.normal(0, 0.1, size=s).astype(np.float32), requires_grad=True)
               for k, s in shapes.items()}
     opt = AdamW(params, lr=1e-3, weight_decay=0.05)

@@ -1,5 +1,6 @@
 """Round protocol: groups, routing, metering, state machine, transcripts."""
 
+import io
 import math
 import re
 import struct
@@ -24,6 +25,7 @@ from splitmix.transcript import (BinaryReader, TranscriptWriter, encode_mask, ma
                                  read_transcript)
 
 import composite
+import oracles
 from composite import mul
 
 CFG = ModelConfig(image_size=8, patch_size=4, channels=1, embed_dim=8,
@@ -84,19 +86,22 @@ class TestRouting:
     def test_unicast_masks_rows(self):
         masks = self.make_masks()
         grad = np.random.default_rng(3).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients([0, 1], masks, grad, "unicast")
+        seeds = np.empty((2,) + grad.shape, np.float32)
+        downs = route_gradients([0, 1], masks, grad, "unicast", seeds)
         for down, mask in zip(downs, masks):
             assert down.rows == mask.sum()
             assert not down.grad[:, mask == 0, :].any()
 
     def test_unicast_sum_recovers_full_gradient(self):
         grad = np.random.default_rng(5).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients([0, 1], self.make_masks(4), grad, "unicast")
+        seeds = np.empty((2,) + grad.shape, np.float32)
+        downs = route_gradients([0, 1], self.make_masks(4), grad, "unicast", seeds)
         assert np.array_equal(downs[0].grad + downs[1].grad, grad)
 
     def test_broadcast_identical_copies(self):
         grad = np.random.default_rng(7).normal(size=(2, 8, 4)).astype(np.float32)
-        downs = route_gradients([0, 1], self.make_masks(6), grad, "broadcast")
+        seeds = np.empty((2,) + grad.shape, np.float32)
+        downs = route_gradients([0, 1], self.make_masks(6), grad, "broadcast", seeds)
         assert len(downs) == 2
         assert np.array_equal(downs[0].grad, downs[1].grad)
         assert all(d.rows == 8 for d in downs)
@@ -104,7 +109,7 @@ class TestRouting:
     def test_unknown_mode(self):
         with pytest.raises(ContractError):
             route_gradients([0, 1], self.make_masks(), np.zeros((1, 8, 4), np.float32),
-                            "multicast")
+                            "multicast", np.empty((2, 1, 8, 4), np.float32))
 
 
 def stacked(segments):
@@ -323,7 +328,8 @@ class TestGradientModes:
             loss = cross_entropy(server_forward(server_segment, inputs, config),
                                  Tensor(soft))
             backward(loss)
-            downs = route_gradients([0, 1], masks, inputs.grad, mode)
+            downs = route_gradients([0, 1], masks, inputs.grad, mode,
+                                    np.empty((2,) + inputs.grad.shape, np.float32))
             for cid, down in enumerate(downs):
                 carrier = smashed[cid] if mode == "broadcast" else cuts[cid]
                 backward(carrier, down.grad)
@@ -356,7 +362,8 @@ class TestGradientModes:
             loss = cross_entropy(server_forward(server.segment, inputs, config),
                                  Tensor(np.full((3, 4), 0.25, np.float32)))
             backward(loss)
-            down = route_gradients([0, 1], masks, inputs.grad, mode)[0]
+            down = route_gradients([0, 1], masks, inputs.grad, mode,
+                                   np.empty((2,) + inputs.grad.shape, np.float32))[0]
             carrier = s if mode == "broadcast" else cut_t
             backward(carrier, down.grad)
             norms[mode] = float(np.linalg.norm(segment.patch_weight.grad))
@@ -482,6 +489,92 @@ class TestFleetMatchesPerClientReference:
         assert rows == ref_rows
         assert transcript == ref_transcript
         assert params == ref_params
+
+
+class TestFleetMixerMatchesPerGroupReference:
+    """The round's fleet-array mixer and router against the per-group loop
+    they replaced (``oracles.ref_*``), bit for bit: the uploads, grids, soft
+    labels and gradient messages the transcript records, the whole
+    transcript, the fleet's seeds and the client step."""
+
+    CASES = {
+        "n7_k3": (7, RoundOptions(k_way=3, alpha=6.0)),  # two triples and a singleton
+        "n8_k3": (8, RoundOptions(k_way=3, alpha=6.0, apply_fedavg=True)),  # and a pair
+        "cutout": (4, RoundOptions(k_way=1, keep_ratio=0.5)),
+        "ktimes_unicast": (7, RoundOptions(k_way=3, alpha=6.0, ktimes=True)),
+        "ktimes_broadcast": (8, RoundOptions(k_way=3, alpha=6.0, gradient_mode="broadcast",
+                                             ktimes=True)),
+        "shuffle": (8, RoundOptions(k_way=3, alpha=6.0, shuffle=True)),
+        "noise": (7, RoundOptions(k_way=2, alpha=6.0, noise_x=0.1, noise_y=0.2, shuffle=True,
+                                  gradient_mode="broadcast")),
+    }
+    REFERENCES = ("cutmix_assemble", "shuffle_tokens", "unshuffle_grid", "route_gradients")
+
+    def run(self, tmp_path, case, reference, monkeypatch):
+        n, options = self.CASES[case]
+        seed, rounds = 13, 3
+        fleet, server = build_system(n, seed)
+        if reference:
+            for name in self.REFERENCES:
+                monkeypatch.setattr(protocol, name, getattr(oracles, f"ref_{name}"))
+        seeds = []
+        real_backward = protocol.backward
+
+        def recording_backward(root, grad=None):
+            if grad is not None:
+                seeds.append(np.array(grad).tobytes())
+            real_backward(root, grad)
+
+        monkeypatch.setattr(protocol, "backward", recording_backward)
+        data = make_synthetic(rounds * n * 3, CFG.num_classes, CFG.image_size, seed,
+                              channels=CFG.channels)
+        images = data.images.reshape((rounds, n, 3) + data.images.shape[1:])
+        labels = data.labels.reshape(rounds, n, 3)
+        path = tmp_path / f"{case}_{reference}.bin"
+        with open(path, "wb") as fh:
+            writer = TranscriptWriter(fh)
+            for r in range(rounds):
+                run_round(fleet, server, images[r], labels[r], CFG, options, RngHub(seed), r,
+                          transcript=writer)
+        monkeypatch.undo()
+        params = {k: t.values.tobytes() for k, t in fleet.segment.parameters().items()}
+        return path.read_bytes(), seeds, params
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_transcript_seeds_and_client_step_equal(self, tmp_path, monkeypatch, case):
+        blob, seeds, params = self.run(tmp_path, case, False, monkeypatch)
+        ref_blob, ref_seeds, ref_params = self.run(tmp_path, case, True, monkeypatch)
+        assert len(seeds) == 3 and seeds == ref_seeds
+        assert params == ref_params
+        assert blob == ref_blob
+        records = read_transcript(tmp_path / f"{case}_False.bin")
+        kinds = {r["type"] for r in records}
+        assert {"upload", "server_batch", "gradient_down"} <= kinds
+
+    def test_singleton_rows_pass_through_bit_for_bit(self):
+        # 0 + 1.0 * label would turn a -0.0 label entry into +0.0.
+        uploads = np.random.default_rng(2).normal(size=(3, 2, 4, 2)).astype(np.float32)
+        labels = np.full((3, 2, 2), 0.5, dtype=np.float32)
+        labels[2, 0] = [-0.0, 1.0]
+        masks = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]], np.uint8)
+        grids, soft = protocol.cutmix_assemble(uploads, masks, labels, [[0, 1], [2]])
+        ref_grids, ref_soft = oracles.ref_cutmix_assemble(uploads, masks, labels, [[0, 1], [2]])
+        assert grids.tobytes() == ref_grids.tobytes() and soft.tobytes() == ref_soft.tobytes()
+        assert soft[1].tobytes() == labels[2].tobytes()
+
+    def test_mask_errors_name_the_first_broken_group(self):
+        uploads = np.ones((6, 1, 4, 2), dtype=np.float32)
+        labels = np.ones((6, 1, 2), dtype=np.float32) / 2
+        masks = np.array([[1, 1, 0, 0], [0, 0, 1, 1],
+                          [1, 0, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0], [1, 1, 1, 1]], np.uint8)
+        groups = [[0, 1], [2, 3, 4], [5]]
+        for assemble in (protocol.cutmix_assemble, oracles.ref_cutmix_assemble):
+            with pytest.raises(ProtocolError, match="position 2 claimed by client 4"):
+                assemble(uploads, masks, labels, groups)
+        masks[1] = [0, 0, 1, 0]  # the first group now leaves a gap before the second's overlap
+        for assemble in (protocol.cutmix_assemble, oracles.ref_cutmix_assemble):
+            with pytest.raises(ProtocolError, match="position 3 unclaimed"):
+                assemble(uploads, masks, labels, groups)
 
 
 class TestDegenerateEquivalence:
@@ -645,6 +738,34 @@ class TestTranscript:
                           transcript=TranscriptWriter(fh))
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class CountingFile(io.BytesIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, blob):
+        self.writes += 1
+        return super().write(blob)
+
+
+def test_buffered_writer_matches_per_record_writer_with_one_write_a_round():
+    rounds = 3
+    blobs, writes = {}, {}
+    for writer_class in (TranscriptWriter, oracles.PerRecordTranscriptWriter):
+        fleet, server = build_system(6, seed=8)
+        fh = CountingFile()
+        writer = writer_class(fh)
+        for r in range(rounds):
+            images, labels = build_batches(6, 2, seed=20 + r)
+            run_round(fleet, server, images, labels, CFG,
+                      RoundOptions(k_way=4, alpha=6.0, shuffle=True, ktimes=True), RngHub(8), r,
+                      transcript=writer)
+        blobs[writer_class], writes[writer_class] = fh.getvalue(), fh.writes
+    assert blobs[TranscriptWriter] == blobs[oracles.PerRecordTranscriptWriter]
+    assert writes[TranscriptWriter] == 1 + rounds  # the file header, then one per round
+    assert writes[oracles.PerRecordTranscriptWriter] > 2 * rounds * 6
 
 
 def test_malformed_transcript_loads_or_raises_ingestion_error(tmp_path):
