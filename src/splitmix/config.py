@@ -142,12 +142,15 @@ class ExperimentConfig:
         if self.dataset == "synthetic" and self.synthetic_samples < self.n_clients:
             raise ContractError(f"synthetic_samples {self.synthetic_samples} cannot be split "
                                 f"across n_clients {self.n_clients}")
-        if (self.dataset == "synthetic" and self.partition_mode == "iid"
-                and self.synthetic_samples // self.n_clients < self.batch_size):
+        # An iid shard too small for a batch is known from the pool's size
+        # before any data is built or read.  Dirichlet shards depend on the
+        # draw and a full CIFAR-10 pool on the files: TrainingSystem checks those.
+        pool = {"synthetic": "synthetic_samples", "cifar10": "cifar_subset"}[self.dataset]
+        size = getattr(self, pool)
+        if self.partition_mode == "iid" and size and size // self.n_clients < self.batch_size:
             raise ContractError(
-                f"synthetic_samples {self.synthetic_samples} over n_clients {self.n_clients} "
-                f"leaves iid shards of {self.synthetic_samples // self.n_clients} samples, "
-                f"fewer than batch_size {self.batch_size}")
+                f"{pool} {size} over n_clients {self.n_clients} leaves iid shards of "
+                f"{size // self.n_clients} samples, fewer than batch_size {self.batch_size}")
         if self.k_way > self.n_clients:
             raise ContractError(f"k_way {self.k_way} exceeds n_clients {self.n_clients}: "
                                 f"a group cannot mix more clients than there are")

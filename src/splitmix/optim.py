@@ -12,82 +12,56 @@ from .tensor import Tensor
 
 # Most floats per update piece.  Each numpy call of a step hands the GIL over
 # when another thread steps too (the attack suite runs two): at 2^17 a decoder
-# step is 3 pieces, not 11 at 2^15, and about a quarter of the calls.  The
-# pieces are evened out, so the scratch is no larger than that count needs.
+# step is 3 pieces, not 11 at 2^15.  A piece fits a core's L2; a decoder does not.
 _PIECE = 1 << 17
 
 
 class AdamW:
     """Standard AdamW over a named parameter dict; float32 state.
 
-    The moments ``m`` and ``v`` are one flat buffer each, laid out in the
-    parameter dict's order.  A step walks that layout in the fewest equal
-    pieces of at most ``_PIECE`` floats: it gathers a piece's gradients and
-    values, updates it with vectorized elementwise ops and subtracts the
-    result from the parameters in place.  A parameter inside one piece is
-    gathered and written back whole; a larger one, or one across a piece
-    boundary, by flat slices, which is why parameters must be C-contiguous.
-    The ops are elementwise, so the pieces give the bits one pass over the
-    layout gives.  Every intermediate lands in a preallocated ``(3, piece)``
-    scratch: fresh arrays of the flat size would be mapped and unmapped by
-    the allocator on every step once they pass its mmap threshold (about
-    128 KiB).  The views into it are made once, on construction."""
+    The optimizer owns its parameters' values: on construction it copies
+    them, in dict order, into one flat buffer and rebinds each ``values`` to
+    a view of its slice.  The moments and a gradient buffer share that
+    layout.  A step gathers the gradients with one concatenate, then walks
+    the buffers in the fewest equal pieces of at most ``_PIECE`` floats with
+    elementwise ops, so it gives a per-parameter loop's bits.  Write the
+    parameters in place, as FedAvg does: ``step`` rejects a rebound one."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
                  weight_decay: float = 0.05):
         if not params:
             raise ContractError("AdamW needs at least one parameter")
-        for name, p in params.items():
-            if not p.values.flags.c_contiguous:
-                raise ContractError(f"AdamW: parameter {name!r} is not C-contiguous")
         self.params = params
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.weight_decay = float(weight_decay)
         self.step_count = 0
-        size = sum(p.values.size for p in params.values())
-        m, v = np.zeros(size, dtype=np.float32), np.zeros(size, dtype=np.float32)
+        self._values = values = np.concatenate([p.values.ravel() for p in params.values()])
+        ends = np.cumsum([p.values.size for p in params.values()])
+        for p, part in zip(params.values(), np.split(values, ends[:-1])):
+            p.values = part.reshape(p.values.shape)
+        size = values.size
+        m, v, self._grads = np.zeros((3, size), dtype=np.float32)
         piece = -(-size // -(-size // _PIECE)) if size else 1
-        scratch = np.empty((3, piece), dtype=np.float32)
-        # Per piece: its m and v, its three scratch rows (gradients, values,
-        # update) and, per parameter in it, (tensor, lo, hi, part): the
-        # parameter's flat [lo, hi) and its part of the update row.  lo is
-        # None, and part has the parameter's shape, when the parameter lies
-        # whole in the piece.
-        self._pieces = []
-        for piece_start in range(0, size, piece):
-            piece_stop = min(piece_start + piece, size)
-            rows = tuple(scratch[:, :piece_stop - piece_start])
-            members, begin, offset = [], 0, 0
-            for p in params.values():
-                end = begin + p.values.size
-                lo, hi = max(begin, piece_start) - begin, min(end, piece_stop) - begin
-                if lo < hi:
-                    part = rows[2][offset:offset + hi - lo]
-                    if hi - lo == p.values.size:
-                        members.append((p, None, hi, part.reshape(p.values.shape)))
-                    else:
-                        members.append((p, lo, hi, part))
-                    offset += hi - lo
-                begin = end
-            self._pieces.append((m[piece_start:piece_stop], v[piece_start:piece_stop],
-                                 rows, members))
+        update = np.empty(piece, dtype=np.float32)  # fresh >128 KiB arrays are mmapped per step
+        self._pieces = [(m[at:at + piece], v[at:at + piece], self._grads[at:at + piece],
+                         values[at:at + piece], update[:min(piece, size - at)])
+                        for at in range(0, size, piece)]
 
     def step(self) -> None:
         for name, p in self.params.items():
             if p.grad is None:
                 raise ContractError(f"AdamW.step: parameter {name!r} has no gradient")
+            if p.values.base is not self._values:
+                raise ContractError(f"AdamW.step: parameter {name!r} was rebound; write in place")
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
-        for m, v, (g, values, update), members in self._pieces:
-            np.concatenate([p.grad.ravel() if lo is None else p.grad.reshape(-1)[lo:hi]
-                            for p, lo, hi, _ in members], out=g)
-            np.concatenate([p.values.ravel() if lo is None else p.values.reshape(-1)[lo:hi]
-                            for p, lo, hi, _ in members], out=values)
+        np.concatenate([p.grad.ravel() for p in self.params.values()], out=self._grads)
+        for m, v, g, values, update in self._pieces:
             # The same float32 expressions as the textbook per-array loop:
             #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            #   update = lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*values)
+            #   values -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*values)
             m *= self.beta1
             np.multiply(g, 1.0 - self.beta1, out=update)
             m += update
@@ -100,14 +74,10 @@ class AdamW:
             g += self.eps
             np.divide(m, bc1, out=update)
             update /= g
-            values *= self.weight_decay
-            update += values
+            np.multiply(values, self.weight_decay, out=g)
+            update += g
             update *= np.float32(self.lr)
-            for p, lo, hi, part in members:
-                if lo is None:
-                    p.values -= part
-                else:
-                    p.values.reshape(-1)[lo:hi] -= part
+            values -= update
 
     def zero_grads(self) -> None:
         for p in self.params.values():

@@ -22,6 +22,8 @@ from .rng import STREAM_ATTACK, stream_generator
 from .tensor import Tensor, backward, gelu, linear, mse, no_grad
 
 REPRESENTATIONS = ("smashed", "cutsmashed", "mixup", "patch_cutmix", "shuffled_cutmix")
+_MIXUP_LAM = 0.5  # the mixup representation's weight on each sample
+_WEIGHT_DECAY = 1e-4  # the decoder's AdamW
 
 
 @dataclass
@@ -33,11 +35,8 @@ class AttackConfig:
     epochs: int = 120
     batch_size: int = 64
     lr: float = 1e-3
-    weight_decay: float = 1e-4
-    normalize_inputs: bool = True  # per-sample feature standardization
     seed: int = 0
     keep_ratio: float | None = None  # cutsmashed rows kept; None = protocol's 2-way draw
-    mixup_lam: float = 0.5
     cutmix_alpha: float = 6.0
 
     def __post_init__(self):
@@ -110,7 +109,7 @@ def build_representation(name: str, snapshot: Snapshot, config: AttackConfig,
         pair = np.empty(n, dtype=np.int64)
         pair[order] = order[np.arange(n) - 1]
         if name == "mixup":
-            feats = manifold_mixup(smashed, smashed[pair], config.mixup_lam)
+            feats = manifold_mixup(smashed, smashed[pair], _MIXUP_LAM)
         else:
             # Draw per sample (counts, masks, shuffle), then cut and add all pairs.
             masks = np.empty((2, n, tokens), dtype=np.uint8)
@@ -163,7 +162,7 @@ class _Decoder:
 
 def prepare_representation(config: AttackConfig,
                            snapshot: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Build ``config.representation`` and normalise it: (features, targets).
+    """Build ``config.representation`` and standardise each sample: (features, targets).
 
     The build draws from its own stream (``STREAM_ATTACK``, counter 0) and
     reads no training setting, so one preparation serves every
@@ -172,13 +171,12 @@ def prepare_representation(config: AttackConfig,
     rng_build = stream_generator(config.seed, STREAM_ATTACK, 0)
     features, targets = build_representation(config.representation, snapshot,
                                              config, rng_build)
-    if config.normalize_inputs:
-        mu = features.mean(axis=1, keepdims=True)
-        sd = features.std(axis=1, keepdims=True) + np.float32(1e-6)
-        # Centred in place, unless the features are the snapshot's read-only
-        # smashed tokens: only one of the raw and centred arrays is held.
-        features = np.subtract(features, mu, out=features if features.flags.writeable else None)
-        features /= sd
+    mu = features.mean(axis=1, keepdims=True)
+    sd = features.std(axis=1, keepdims=True) + np.float32(1e-6)
+    # Centred in place, unless the features are the snapshot's read-only
+    # smashed tokens: only one of the raw and centred arrays is held.
+    features = np.subtract(features, mu, out=features if features.flags.writeable else None)
+    features /= sd
     return features, targets
 
 
@@ -201,7 +199,7 @@ def run_attack(config: AttackConfig,
     gen = stream_generator(config.seed, STREAM_ATTACK, 2)
     decoder = _Decoder(features.shape[1], targets.shape[1], config.decoder_width,
                        config.decoder_depth, gen)
-    opt = AdamW(decoder.parameters(), lr=config.lr, weight_decay=config.weight_decay)
+    opt = AdamW(decoder.parameters(), lr=config.lr, weight_decay=_WEIGHT_DECAY)
     for _ in range(config.epochs):
         order = gen.permutation(train_idx.size)
         for start in range(0, train_idx.size, config.batch_size):

@@ -15,6 +15,9 @@ Contracts:
     parameter's shape;
   * leaf gradients accumulate across ``backward`` calls until the
     optimizer's ``zero_grads`` clears them;
+  * from the moment its optimizer is built, a parameter's values are a
+    view of that optimizer's flat buffer: write them in place, as FedAvg
+    does, and never rebind them (``AdamW.step`` rejects a rebound one);
   * no broadcasting: ``add`` takes operands of equal shape, and a fused
     node states the shapes it takes;
   * graphs are single-threaded; independent graphs share no state, so

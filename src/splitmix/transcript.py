@@ -1,9 +1,11 @@
-"""Binary round transcripts for logging and deterministic replay.
+"""Binary round transcripts: a log of each round's messages.
 
 A transcript is a sequence of tagged little-endian records mirroring the
-wire messages plus the optimizer-step events, enough to replay a round's
-message flow offline or audit server update counts.  Each round reaches
-the file in one write.
+wire messages plus the optimizer-step events, enough to audit a round's
+message flow and server update counts offline.  Nothing replays a run from
+it yet: that needs each round's learning rate and shuffle permutations,
+which it does not record (ROADMAP, direction 12).  Each round reaches the
+file in one write.
 
 File layout:
   magic b"SMXT" | u32 version (=1) | records...

@@ -166,12 +166,14 @@ class RefAdamW:
 
     Unlike the rest of this module it runs in float32 with the package's
     elementwise expressions, because the flat optimizer is held to it bit
-    for bit, not within a tolerance.
+    for bit, not within a tolerance.  It steps copies of ``values``, or with
+    ``in_place`` the given arrays themselves.
     """
 
     def __init__(self, values: dict[str, np.ndarray], lr: float = 1e-3,
-                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.05):
-        self.values = {k: v.copy() for k, v in values.items()}
+                 betas=(0.9, 0.999), eps: float = 1e-8, weight_decay: float = 0.05,
+                 in_place: bool = False):
+        self.values = dict(values) if in_place else {k: v.copy() for k, v in values.items()}
         self.lr, (self.beta1, self.beta2) = lr, betas
         self.eps, self.weight_decay = eps, weight_decay
         self.step_count = 0

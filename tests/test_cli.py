@@ -191,6 +191,21 @@ class TestCliParsing:
         assert err.startswith("error: synthetic_samples 127 over n_clients 4")
         assert "batch_size 32" in err
 
+    def test_iid_cifar_subset_below_a_batch_fails_before_any_file(self, capsys, monkeypatch):
+        small = {"dataset": "cifar10", "cifar_subset": 127, "n_clients": 4, "batch_size": 32}
+        with pytest.raises(ContractError, match="cifar_subset 127 over n_clients 4.*batch_size 32"):
+            ExperimentConfig.from_dict(small)
+        ExperimentConfig.from_dict({**small, "cifar_subset": 128})
+        # Dirichlet shards and the full set's size are known only once the
+        # files are read; TrainingSystem checks those.
+        ExperimentConfig.from_dict({**small, "partition_mode": "dirichlet"})
+        ExperimentConfig.from_dict({**small, "cifar_subset": 0})
+        monkeypatch.setattr(runner, "load_cifar10", lambda data_dir: pytest.fail("files read"))
+        argv = ["train", "--dataset", "cifar10", "--data-dir", "no-such-dir",
+                "--cifar-subset", "127", "--n-clients", "4"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cifar_subset 127 over n_clients 4")
+
 
 STORE, BOOL = "_StoreAction", "BooleanOptionalAction"
 FLAG_SURFACE = [

@@ -16,6 +16,8 @@ attribute of that name.
 A parameter with a default counts as used when a call in those directories
 passes it: by keyword, by position, or through ``*args`` / ``**kwargs``.
 A call matches a function by name, and ``__init__`` by its class's name.
+The fields of the dataclasses in ``DATACLASS_FIELDS`` are parameters of
+their class's constructor, in field order.
 
 Tests do not count: code that only tests reach is deleted, and a knob that
 only tests turn is a constant.
@@ -28,6 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "splitmix"
 CALLERS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
+# Option records that one package caller builds field by field.
+# ``ExperimentConfig`` is built from a dict, which the name match cannot
+# follow, and ``ModelConfig.mlp_ratio`` is still set by tests only.
+DATACLASS_FIELDS = ("AttackConfig", "RoundOptions")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -116,14 +122,20 @@ def test_every_public_method_has_a_caller_outside_tests():
 
 def defaulted_parameters() -> dict[tuple[str, str, str], int | None]:
     """(module, call name, parameter) -> position, for every parameter with a
-    default of a package function or method.  The position is None for a
-    keyword-only parameter and does not count ``self`` or ``cls``.  A
-    method's call name is its own, ``__init__``'s its class's."""
+    default of a package function or method, and every defaulted field of a
+    class in ``DATACLASS_FIELDS``.  The position is None for a keyword-only
+    parameter and does not count ``self`` or ``cls``.  A method's call name
+    is its own, ``__init__``'s and a field's its class's."""
     found = {}
 
     def visit(module: str, node: ast.AST, cls: str | None) -> None:
         for item in ast.iter_child_nodes(node):
             if isinstance(item, ast.ClassDef):
+                if item.name in DATACLASS_FIELDS:
+                    fields = [s for s in item.body if isinstance(s, ast.AnnAssign)]
+                    for i, stmt in enumerate(fields):
+                        if stmt.value is not None:
+                            found[(module, item.name, stmt.target.id)] = i
                 visit(module, item, item.name)
             elif isinstance(item, ast.FunctionDef):
                 args = item.args

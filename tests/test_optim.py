@@ -1,11 +1,13 @@
-"""AdamW's flat update against a per-array reference, and its contracts."""
+"""AdamW's flat update against a per-array reference, its parameter buffer,
+and its contracts."""
 
 import numpy as np
 import pytest
 
 from splitmix.errors import ContractError
-from splitmix.model import PROFILES, init_parameters, server_forward
+from splitmix.model import PROFILES, ClientSegment, init_parameters, server_forward
 from splitmix.optim import _PIECE, AdamW
+from splitmix.protocol import fedavg_client_segments
 from splitmix.tensor import Tensor, backward, cross_entropy
 
 from oracles import RefAdamW
@@ -79,11 +81,78 @@ def test_pieced_step_matches_per_array_reference():
             assert p.values.tobytes() == ref.values[name].tobytes(), (step, name)
 
 
-def test_non_contiguous_parameter_rejected_by_name():
-    ok = Tensor(np.ones(3, np.float32), requires_grad=True)
-    strided = Tensor(np.ones((4, 6), np.float32)[:, ::2], requires_grad=True)
-    with pytest.raises(ContractError, match="'strided'.*contiguous"):
-        AdamW({"ok": ok, "strided": strided})
+def test_construction_moves_values_into_one_buffer_in_dict_order():
+    rng = np.random.default_rng(3)
+    shapes = {"w": (3, 5), "b": (5,), "cube": (2, 2, 2), "row": (1, 7)}
+    params = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+              for k, s in shapes.items()}
+    before = {k: p.values.copy() for k, p in params.items()}
+    AdamW(params)
+    buffer = params["w"].values.base
+    assert buffer.shape == (sum(p.values.size for p in params.values()),)
+    offset = 0
+    for name, p in params.items():
+        assert p.values.base is buffer, name
+        assert p.values.ctypes.data == buffer[offset:].ctypes.data, name
+        assert p.values.shape == shapes[name] and p.values.flags.c_contiguous, name
+        assert p.values.tobytes() == before[name].tobytes(), name
+        offset += p.values.size
+
+
+def test_strided_parameter_accepted_and_steps_like_the_reference():
+    rng = np.random.default_rng(4)
+    params = {"dense": Tensor(rng.normal(size=5).astype(np.float32), requires_grad=True),
+              "strided": Tensor(rng.normal(size=(4, 12)).astype(np.float32)[:, ::2],
+                                requires_grad=True)}
+    assert not params["strided"].values.flags.c_contiguous
+    ref = RefAdamW({k: p.values for k, p in params.items()}, lr=1e-2)
+    opt = AdamW(params, lr=1e-2)
+    for step in range(4):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+        ref.step({k: p.grad for k, p in params.items()})
+        opt.step()
+        opt.zero_grads()
+        for name, p in params.items():
+            assert p.values.tobytes() == ref.values[name].tobytes(), (step, name)
+
+
+def test_rebound_parameter_rejected_by_name_before_any_change():
+    a = Tensor(np.ones(3, np.float32), requires_grad=True)
+    b = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    opt = AdamW({"a": a, "b": b})
+    buffer = a.values.base
+    b.values = b.values.copy()
+    a.grad, b.grad = np.ones(3, np.float32), np.ones((2, 2), np.float32)
+    with pytest.raises(ContractError, match="'b'.*rebound"):
+        opt.step()
+    assert opt.step_count == 0
+    assert np.array_equal(buffer, np.ones(7, np.float32))
+    assert np.array_equal(b.values, np.ones((2, 2), np.float32))
+
+
+def test_fedavg_then_step_matches_reference():
+    # FedAvg writes the fleet's rows in place, so the next step reads the
+    # averaged values from the optimizer's buffer; the reference averages
+    # and steps its own copies.
+    n, rng = 3, np.random.default_rng(5)
+    shapes = {"patch_weight": (4, 6), "patch_bias": (4,), "pos_embed": (2, 4)}
+    fleet = ClientSegment(*(Tensor(rng.normal(0, 0.1, size=(n,) + s).astype(np.float32),
+                                   requires_grad=True) for s in shapes.values()))
+    ref = RefAdamW({k: t.values for k, t in fleet.parameters().items()}, lr=1e-2)
+    ref_fleet = ClientSegment(*(Tensor(v) for v in ref.values.values()))
+    opt = AdamW(fleet.parameters(), lr=1e-2)
+    for step in range(4):
+        fedavg_client_segments(fleet)
+        fedavg_client_segments(ref_fleet)
+        for tensor in fleet.parameters().values():
+            tensor.grad = rng.normal(size=tensor.shape).astype(np.float32)
+        ref.step({k: t.grad for k, t in fleet.parameters().items()})
+        opt.step()
+        opt.zero_grads()
+        for name, tensor in fleet.parameters().items():
+            assert tensor.values.tobytes() == ref.values[name].tobytes(), (step, name)
+            assert not np.array_equal(tensor.values[0], tensor.values[1]), (step, name)
 
 
 def test_step_without_gradient_names_the_parameter():

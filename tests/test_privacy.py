@@ -39,9 +39,11 @@ def test_fraction_contract():
 
 
 def test_raw_identity_sanity(snapshot):
+    # The raw pixels go to the decoder unstandardised, so it can learn the identity.
     config = AttackConfig(representation="raw", train_fraction=1.0, epochs=200,
-                          decoder_width=256, normalize_inputs=False, seed=0)
-    report = attack(config, snapshot)
+                          decoder_width=256, seed=0)
+    raw = build_representation("raw", snapshot, config, stream_generator(0, STREAM_ATTACK, 0))
+    report = run_attack(config, raw)
     assert report.test_mse < 1e-3
 
 

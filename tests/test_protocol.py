@@ -416,10 +416,12 @@ class PerClientFleet:
     """A fleet run as n separate clients, as it was before it was stacked.
 
     Each client has its own leaves (views of its rows of the fleet's
-    arrays, so its steps land there), its own ``linear`` + ``add`` graph and
-    its own AdamW; FedAvg is the per-name float64 loop.  ``forward`` and
-    ``fedavg`` stand in for ``protocol``'s functions and the object itself
-    for the fleet's optimizer.
+    arrays), its own ``linear`` + ``add`` graph and its own per-array AdamW
+    (``oracles.RefAdamW``), which steps those rows in place, so its steps
+    land in the fleet and FedAvg's in-place writes reach the next forward.
+    FedAvg is the per-name float64 loop.  ``forward`` and ``fedavg`` stand
+    in for ``protocol``'s functions and the object itself for the fleet's
+    optimizer.
     """
 
     def __init__(self, fleet: ClientFleet):
@@ -428,7 +430,8 @@ class PerClientFleet:
         self.rows = [{k: Tensor(t.values[i], requires_grad=True)
                       for k, t in fleet.segment.parameters().items()}
                      for i in range(len(fleet.segment))]
-        self.optimizers = [AdamW(row, lr=opt.lr, weight_decay=opt.weight_decay)
+        self.optimizers = [oracles.RefAdamW({k: t.values for k, t in row.items()}, lr=opt.lr,
+                                            weight_decay=opt.weight_decay, in_place=True)
                            for row in self.rows]
 
     def forward(self, segment, images, config):
@@ -440,12 +443,12 @@ class PerClientFleet:
         per_name_fedavg(segment)
 
     def step(self):
-        for opt in self.optimizers:
-            opt.step()
+        for row, opt in zip(self.rows, self.optimizers):
+            opt.step({k: t.grad for k, t in row.items()})
 
     def zero_grads(self):
-        for opt in self.optimizers:
-            opt.zero_grads()
+        for row in self.rows:
+            clear_grads(row.values())
 
 
 class TestFleetMatchesPerClientReference:
